@@ -86,9 +86,9 @@ echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence =="
 cmake -B build-nosimd -S . -DLDPC_SIMD=OFF -DLDPC_WERROR=ON
 cmake --build build-nosimd -j "$JOBS" \
   --target simd_equivalence_test simd_batch_test simd_fa_equivalence_test \
-           fa_test
+           simd_family_test fa_test
 ctest --test-dir build-nosimd --output-on-failure --timeout "$TEST_TIMEOUT" \
-  -R 'SimdEquivalence|SimdBatch|SimdFaEquivalence|FaTables|FaDecoder'
+  -R 'SimdEquivalence|SimdBatch|SimdFaEquivalence|SimdFamily|FaTables|FaDecoder'
 
 if [ "$FAST" -eq 0 ]; then
   echo "== [3/13] ASan + UBSan =="
