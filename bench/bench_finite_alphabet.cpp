@@ -39,7 +39,6 @@
 #include "bench/bench_common.hpp"
 #include "codes/wimax.hpp"
 #include "core/simd/simd_batch.hpp"
-#include "core/simd/simd_fa_batch.hpp"
 #include "power/message_memory.hpp"
 
 using namespace ldpc;

@@ -61,7 +61,10 @@ inline const char* to_string(DecodeStatus s) {
 /// scalar path is externally visible instead of a mystery perf cliff.
 enum class SimdFallback : std::uint8_t {
   kNone,            ///< lane kernel executed
-  kWideFormat,      ///< format (or offset) outside the int16 lane envelope
+  /// Configuration outside the decoder's lane envelope: an int16 format
+  /// wider than 15 bits or an offset beyond int16, an int8 finite-alphabet
+  /// layer degree >= 128, or (batched int16) a z * degree product >= 32768.
+  kWideFormat,
   kFaultInjector,   ///< active fault campaign: corruption order is scalar
   kOutOfRailInput,  ///< quantized entry point saw out-of-rail codes
   kObserver,        ///< per-iteration observer needs single-frame cadence

@@ -42,158 +42,57 @@ std::vector<SimdTier> available_tiers() {
   return tiers;
 }
 
-LayerPassFn layer_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &layer_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &layer_pass_sse2;
-    case SimdTier::kAvx2:
-      return &layer_pass_avx2;
-    case SimdTier::kAvx512:
-      return &layer_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &layer_pass_portable;  // unreachable after the check above
-}
+namespace {
 
-BatchLayerPassFn batch_layer_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &batch_layer_pass_portable;
+constexpr Kernels kPortableKernels{
+    &layer_pass_portable,           &batch_layer_pass_portable,
+    &batch_syndrome_pass_portable,  &fa_layer_pass_portable,
+    &fa_batch_layer_pass_portable,  &fa_batch_syndrome_pass_portable,
+    &fa_quantize_pass_portable,
+};
 #ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &batch_layer_pass_sse2;
-    case SimdTier::kAvx2:
-      return &batch_layer_pass_avx2;
-    case SimdTier::kAvx512:
-      return &batch_layer_pass_avx512;
-#else
-    default:
-      break;
+constexpr Kernels kSse2Kernels{
+    &layer_pass_sse2,           &batch_layer_pass_sse2,
+    &batch_syndrome_pass_sse2,  &fa_layer_pass_sse2,
+    &fa_batch_layer_pass_sse2,  &fa_batch_syndrome_pass_sse2,
+    &fa_quantize_pass_sse2,
+};
+constexpr Kernels kAvx2Kernels{
+    &layer_pass_avx2,           &batch_layer_pass_avx2,
+    &batch_syndrome_pass_avx2,  &fa_layer_pass_avx2,
+    &fa_batch_layer_pass_avx2,  &fa_batch_syndrome_pass_avx2,
+    &fa_quantize_pass_avx2,
+};
+constexpr Kernels kAvx512Kernels{
+    &layer_pass_avx512,           &batch_layer_pass_avx512,
+    &batch_syndrome_pass_avx512,  &fa_layer_pass_avx512,
+    &fa_batch_layer_pass_avx512,  &fa_batch_syndrome_pass_avx512,
+    &fa_quantize_pass_avx512,
+};
 #endif
-  }
-  return &batch_layer_pass_portable;  // unreachable after the check above
-}
 
-BatchSyndromePassFn batch_syndrome_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &batch_syndrome_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &batch_syndrome_pass_sse2;
-    case SimdTier::kAvx2:
-      return &batch_syndrome_pass_avx2;
-    case SimdTier::kAvx512:
-      return &batch_syndrome_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &batch_syndrome_pass_portable;  // unreachable after the check above
-}
+}  // namespace
 
-FaLayerPassFn fa_layer_pass_for(SimdTier tier) {
+const Kernels& kernels_for(SimdTier tier) {
   LDPC_CHECK_MSG(tier_available(tier),
                  "SIMD tier " << to_string(tier)
                               << " is not available in this build/CPU");
   switch (tier) {
     case SimdTier::kPortable:
-      return &fa_layer_pass_portable;
+      return kPortableKernels;
 #ifdef LDPC_SIMD_X86
     case SimdTier::kSse2:
-      return &fa_layer_pass_sse2;
+      return kSse2Kernels;
     case SimdTier::kAvx2:
-      return &fa_layer_pass_avx2;
+      return kAvx2Kernels;
     case SimdTier::kAvx512:
-      return &fa_layer_pass_avx512;
+      return kAvx512Kernels;
 #else
     default:
       break;
 #endif
   }
-  return &fa_layer_pass_portable;  // unreachable after the check above
-}
-
-FaBatchLayerPassFn fa_batch_layer_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_batch_layer_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_batch_layer_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_batch_layer_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_batch_layer_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_batch_layer_pass_portable;  // unreachable after the check above
-}
-
-FaBatchSyndromePassFn fa_batch_syndrome_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_batch_syndrome_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_batch_syndrome_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_batch_syndrome_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_batch_syndrome_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_batch_syndrome_pass_portable;  // unreachable after the check
-}
-
-FaQuantizePassFn fa_quantize_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_quantize_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_quantize_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_quantize_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_quantize_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_quantize_pass_portable;  // unreachable after the check above
+  return kPortableKernels;  // unreachable after the check above
 }
 
 SimdTier tier_from_string(const std::string& name) {

@@ -1,46 +1,48 @@
 #include "core/simd/simd_batch.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "fault/fault_injector.hpp"
 #include "util/check.hpp"
 
 namespace ldpc {
-SimdBatchDecoder::SimdBatchDecoder(const QCLdpcCode& code,
-                                   DecoderOptions options, FixedFormat format,
-                                   std::optional<simd::SimdTier> tier)
+
+// The z-lane twin carries the whole validation chain (it embeds the scalar
+// decoder, which checks the message format and the iteration budget) and
+// serves as the exact per-frame fallback; its message policy — format,
+// tier, kernels, finite-alphabet tables — is the batched one too.
+template <class P>
+SimdBatchDriver<P>::SimdBatchDriver(const QCLdpcCode& code,
+                                    DecoderOptions options,
+                                    FixedFormat format,
+                                    std::optional<simd::SimdTier> tier)
+  requires std::same_as<P, simd::Q16Messages>
     : code_(code),
       options_(options),
-      format_(format),
-      tier_(tier.value_or(simd::best_tier())),
-      pass_(simd::batch_layer_pass_for(tier_)),
-      syndrome_(simd::batch_syndrome_pass_for(tier_)),
-      lanes_(simd::tier_lanes(tier_)) {
-  // The z-lane twin carries the whole validation chain (it embeds the
-  // scalar decoder, which checks scale bounds, format sanity and the
-  // iteration budget) and serves as the exact per-frame fallback.
-  single_ = std::make_unique<SimdLayeredDecoder>(code, options, format, tier_);
-  if (options_.scale == 0.75F) {
-    mode_ = simd::ScaleMode::kThreeQuarters;
-  } else {
-    mode_ = simd::ScaleMode::kNumOver16;
-    scale_num_ = static_cast<std::int16_t>(
-        static_cast<std::int32_t>(options_.scale * 16.0F + 0.5F));
-  }
+      single_(std::make_unique<SimdZLaneDriver<P>>(code, options, format,
+                                                   tier)),
+      msg_(single_->msg_) {
   init_geometry();
-  // Lane envelope: int16 arithmetic needs <= 15-bit formats (same as the
-  // z-lane kernel), and the masked in-register clip counters accumulate up
-  // to z * deg events per site per layer pass in an int16 lane, so the
-  // geometry must keep that product below 2^15. Every shipped code is two
-  // orders of magnitude under the bound (WiMAX 1/2 z=96: 96 * 7 = 672).
-  std::size_t max_deg = 0;
-  for (const auto& layer : layers_) max_deg = std::max(max_deg, layer.size());
-  force_fallback_ = format_.total_bits > 15 ||
-                    static_cast<std::size_t>(z_) * max_deg >= 32768;
 }
 
-void SimdBatchDecoder::init_geometry() {
+template <class P>
+SimdBatchDriver<P>::SimdBatchDriver(const QCLdpcCode& code,
+                                    DecoderOptions options, int msg_bits,
+                                    float design_ebn0_db,
+                                    std::optional<simd::SimdTier> tier)
+  requires std::same_as<P, simd::FaMessages>
+    : code_(code),
+      options_(options),
+      single_(std::make_unique<SimdZLaneDriver<P>>(code, options, msg_bits,
+                                                   design_ebn0_db, tier)),
+      msg_(single_->msg_) {
+  init_geometry();
+}
+
+template <class P>
+void SimdBatchDriver<P>::init_geometry() {
+  lanes_ = P::lanes(msg_.tier);
+  msg_.bind_lanes(lanes_);
   z_ = static_cast<std::uint32_t>(code_.z());
   layers_.reserve(code_.layers().size());
   for (const auto& layer : code_.layers()) {
@@ -55,13 +57,11 @@ void SimdBatchDecoder::init_geometry() {
   r_rows_ = code_.base().nonzero_blocks() * static_cast<std::size_t>(z_);
   // kBatchPrefetchPad rows of slack so the kernels' look-ahead prefetches
   // stay inside the allocations.
-  p16_.resize((code_.n() + simd::kBatchPrefetchPad) * lanes_);
-  r16_.resize((r_rows_ + simd::kBatchPrefetchPad) * lanes_);
-  q16_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
-  active_.resize(lanes_);
-  std::fill(active_.begin(), active_.end(), std::int16_t{0});
-  r_keep_.resize(lanes_);
-  std::fill(r_keep_.begin(), r_keep_.end(), std::int16_t{-1});
+  p_.resize((code_.n() + simd::kBatchPrefetchPad) * lanes_);
+  r_.resize((r_rows_ + simd::kBatchPrefetchPad) * lanes_);
+  q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
+  active_.assign(lanes_, Elem{0});
+  r_keep_.assign(lanes_, Elem{-1});
   stage_.resize(code_.n());
   lane_.assign(lanes_, Lane{});
   q_clips_.assign(lanes_, 0);
@@ -69,26 +69,26 @@ void SimdBatchDecoder::init_geometry() {
   p_clips_.assign(lanes_, 0);
   degenerate_.assign(lanes_, 0);
   weight_.assign(lanes_, 0);
+  force_fallback_ = single_->scalar_only() || !msg_.batch_fits(z_, max_deg);
 }
 
-std::string SimdBatchDecoder::name() const {
-  return "layered-minsum-simd-batched-" + format_.name();
-}
-
-void SimdBatchDecoder::set_cancel_token(const CancelToken* token) {
+template <class P>
+void SimdBatchDriver<P>::set_cancel_token(const CancelToken* token) {
   cancel_ = token;
   single_->set_cancel_token(token);
 }
 
-DecodeResult SimdBatchDecoder::decode(std::span<const float> llr) {
+template <class P>
+DecodeResult SimdBatchDriver<P>::decode(std::span<const float> llr) {
   DecodeResult result = single_->decode(llr);
   last_saturation_ = single_->saturation();
   return result;
 }
 
-void SimdBatchDecoder::decode_block(std::span<const BlockFrame> frames,
-                                    std::span<DecodeResult> results,
-                                    std::span<SaturationStats> saturation) {
+template <class P>
+void SimdBatchDriver<P>::decode_block(std::span<const BlockFrame> frames,
+                                      std::span<DecodeResult> results,
+                                      std::span<SaturationStats> saturation) {
   LDPC_CHECK(results.size() == frames.size());
   LDPC_CHECK(saturation.size() == frames.size());
   for (const BlockFrame& f : frames) LDPC_CHECK(f.llr.size() == code_.n());
@@ -111,7 +111,8 @@ void SimdBatchDecoder::decode_block(std::span<const BlockFrame> frames,
   run_block(frames, results, saturation);
 }
 
-void SimdBatchDecoder::decode_block_fallback(
+template <class P>
+void SimdBatchDriver<P>::decode_block_fallback(
     std::span<const BlockFrame> frames, std::span<DecodeResult> results,
     std::span<SaturationStats> saturation, SimdFallback reason) {
   for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -127,34 +128,30 @@ void SimdBatchDecoder::decode_block_fallback(
   if (!frames.empty()) last_saturation_ = saturation.back();
 }
 
-void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
-                                 std::span<DecodeResult> results,
-                                 std::span<SaturationStats> saturation) {
+template <class P>
+void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
+                                   std::span<DecodeResult> results,
+                                   std::span<SaturationStats> saturation) {
   const std::size_t count = frames.size();
   const std::size_t n = code_.n();
   std::size_t next = 0;  // next pending frame to claim a lane
   std::size_t done = 0;
   std::uint32_t live = 0;  // lanes currently carrying a frame
 
-  simd::SimdBatchLayerPass pass;
-  pass.p = p16_.data();
-  pass.q = q16_.data();
-  pass.r = r16_.data();
+  typename P::BatchPass pass;
+  pass.p = p_.data();
+  pass.q = q_.data();
+  pass.r = r_.data();
   pass.z = z_;
   pass.active = active_.data();
-  pass.lo = static_cast<std::int16_t>(format_.min_code());
-  pass.hi = static_cast<std::int16_t>(format_.max_code());
-  pass.mode = mode_;
-  pass.scale_num = scale_num_;
-  pass.offset_code = 0;
-  pass.count_clips = options_.count_saturation;
   pass.r_keep = r_keep_.data();
+  pass.count_clips = options_.count_saturation;
   pass.q_clips = q_clips_.data();
-  pass.r_clips = r_clips_.data();
   pass.p_clips = p_clips_.data();
+  msg_.setup(pass, r_clips_.data());
 
-  simd::SimdBatchSyndromePass syn;
-  syn.p = p16_.data();
+  typename P::BatchSyndromePass syn;
+  syn.p = p_.data();
   syn.z = z_;
 
   const bool et = options_.early_termination;
@@ -177,39 +174,19 @@ void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
     // iteration instead (see SimdBatchLayerPass::r_keep).
     if (options_.count_saturation) {
       for (std::size_t v = 0; v < n; ++v) {
-        __builtin_prefetch(&p16_[(v + 16) * lanes_ + f], 1);
-        p16_[v * lanes_ + f] = static_cast<std::int16_t>(
-            format_.quantize(llr[v], sat.quantizer_clips));
+        __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
+        p_[v * lanes_ + f] = msg_.quantize(llr[v], sat.quantizer_clips);
       }
     } else {
-      // Uncounted path (the batch-throughput configuration): a branchless
-      // restatement of FixedFormat::quantize the autovectorizer can chew on
-      // — same NaN -> 0, same rails-plus-one float pre-limit, same
-      // round-half-away in double (exact per the quantize() width
-      // argument), same integer rail clamp, so codes are bit-identical.
-      const float fscale = static_cast<float>(1 << format_.frac_bits);
-      const float fhi = static_cast<float>(format_.max_code()) + 1.0F;
-      const float flo = static_cast<float>(format_.min_code()) - 1.0F;
-      const std::int32_t rail_hi = format_.max_code();
-      const std::int32_t rail_lo = format_.min_code();
+      // Uncounted path (the batch-throughput configuration): the policy's
+      // row quantizer fills a contiguous staging row, then a prefetched
+      // scatter spreads it across the lane-major stride. Both quantizers
+      // are bit-identical, so counted and uncounted frames land on the
+      // same codes.
+      msg_.quantize_row(llr.data(), stage_.data(), n);
       for (std::size_t v = 0; v < n; ++v) {
-        float s = llr[v] * fscale;
-        s = s != s ? 0.0F : s;
-        s = s > fhi ? fhi : s;
-        s = s < flo ? flo : s;
-        // trunc(d + copysign(0.5, d)) == round_half_away(d): the cast
-        // truncates toward zero, so the negative arm ceil(d - 0.5) equals
-        // -floor(0.5 - d) — one conversion, no branch.
-        const double d = static_cast<double>(s);
-        const std::int32_t t =
-            static_cast<std::int32_t>(d + std::copysign(0.5, d));
-        const std::int32_t c =
-            t > rail_hi ? rail_hi : (t < rail_lo ? rail_lo : t);
-        stage_[v] = static_cast<std::int16_t>(c);
-      }
-      for (std::size_t v = 0; v < n; ++v) {
-        __builtin_prefetch(&p16_[(v + 16) * lanes_ + f], 1);
-        p16_[v * lanes_ + f] = stage_[v];
+        __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
+        p_[v * lanes_ + f] = stage_[v];
       }
     }
     q_clips_[f] = 0;
@@ -241,8 +218,8 @@ void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
       const std::size_t limit = std::min<std::size_t>(64, n - base);
       std::uint64_t bits = 0;
       for (std::size_t b = 0; b < limit; ++b) {
-        __builtin_prefetch(&p16_[(base + b + 16) * lanes_ + f], 0);
-        bits |= static_cast<std::uint64_t>(p16_[(base + b) * lanes_ + f] < 0)
+        __builtin_prefetch(&p_[(base + b + 16) * lanes_ + f], 0);
+        bits |= static_cast<std::uint64_t>(p_[(base + b) * lanes_ + f] < 0)
                 << b;
       }
       res.hard_bits.set_word(w, bits);
@@ -274,10 +251,11 @@ void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
 
     for (std::uint32_t f = 0; f < lanes_; ++f)
       if (lane_[f].frame != kIdleLane) {
-        ++lane_[f].iter;
+        const std::size_t iter = ++lane_[f].iter;
         // First iteration of a refilled lane: its R column is stale memory
         // and must read as 0 (the kernel masks it via r_keep).
-        r_keep_[f] = lane_[f].iter == 1 ? std::int16_t{0} : std::int16_t{-1};
+        r_keep_[f] = iter == 1 ? Elem{0} : Elem{-1};
+        msg_.start_lane_iteration(f, iter);
       }
 
     for (std::size_t l = 0; l < layers_.size() && live > 0; ++l) {
@@ -296,9 +274,10 @@ void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
       pass.blocks = blocks.data();
       pass.deg = static_cast<std::uint32_t>(blocks.size());
       pass.degenerate = blocks.size() < 2;
-      pass_(pass);
+      msg_.batch_layer(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
-      // per layer pass — same accounting as LayerRowKernel, per frame.
+      // per layer pass — same accounting as the scalar row kernels, per
+      // frame.
       if (blocks.size() == 1)
         for (std::uint32_t f = 0; f < lanes_; ++f)
           if (active_[f] != 0) degenerate_[f] += z_;
@@ -316,7 +295,7 @@ void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
         if (blocks.empty()) continue;
         syn.blocks = blocks.data();
         syn.deg = static_cast<std::uint32_t>(blocks.size());
-        syndrome_(syn);
+        msg_.batch_syndrome(syn);
       }
     }
     const bool probed = et || wd;  // weight_ holds this iteration's syndrome
@@ -338,5 +317,8 @@ void SimdBatchDecoder::run_block(std::span<const BlockFrame> frames,
     }
   }
 }
+
+template class SimdBatchDriver<simd::Q16Messages>;
+template class SimdBatchDriver<simd::FaMessages>;
 
 }  // namespace ldpc

@@ -1,11 +1,17 @@
-// Inter-frame-batched SIMD layered scaled-min-sum decoder.
+// Inter-frame-batched SIMD layered min-sum driver, one template over the
+// two message policies of simd_messages.hpp:
 //
-// The z-lane decoder (simd_layered.hpp) maps the z check rows of a layer
+//   SimdBatchDecoder    int16 q-format scaled min-sum, F = tier_lanes frames
+//                       per block (AVX-512: 32)
+//   SimdFaBatchDecoder  int8 finite-alphabet fa2/fa3/fa4, F = tier_lanes8
+//                       frames per block (AVX-512: 64)
+//
+// The z-lane driver (simd_layered.hpp) maps the z check rows of a layer
 // onto vector lanes — full lanes only when z is a multiple of the tier
-// width, and never wider than z. This decoder turns the lane axis sideways:
+// width, and never wider than z. This driver turns the lane axis sideways:
 // lane f carries *frame* f of a block, every array is lane-major with
-// stride F = tier lane count (p[v * F + f]), and the z rows of a layer run
-// serially. Consequences:
+// stride F (p[v * F + f]), and the z rows of a layer run serially.
+// Consequences:
 //
 //   * every lane is full for any z — z = 10 wastes 6 of 16 AVX2 lanes in
 //     the z-lane kernel, zero lanes here;
@@ -13,22 +19,26 @@
 //     barrel-shift gather/scatter memcpys of the z-lane kernel disappear;
 //   * the per-iteration syndrome probe vectorizes too (one XOR chain per
 //     row, all frames at once), so early termination no longer serializes;
-//   * the AVX-512 tier's 32 lanes decode 32 frames per kernel sweep.
+//   * the AVX-512 tier decodes 32 (int16) or 64 (int8) frames per sweep.
 //
 // Frames inside a block are independent decodes at independent iteration
 // counts: when a lane's frame converges (or expires, or exhausts its
 // budget) the lane is refilled with the next pending frame *mid-block*, so
 // block throughput tracks the mean iteration count, not the max — a
 // lockstep batch would pay the slowest frame's iterations on every lane.
+// The finite-alphabet tables are per-iteration, so that policy keeps one
+// staircase column per lane and refreshes it as the lane's iteration moves.
 //
-// Per-frame results are bit-identical to LayeredMinSumFixedDecoder —
-// hard bits, iteration counts, status, per-site SaturationStats — asserted
-// in tests/simd_batch_test.cpp across tiers, z values and block sizes.
-// Configurations outside the lane envelope (wide formats, fault campaigns,
-// per-iteration observers) fall back to per-frame decodes on the embedded
-// z-lane twin, with the reason recorded in DecodeResult::simd_fallback.
+// Per-frame results are bit-identical to the scalar reference — hard bits,
+// iteration counts, status, per-site SaturationStats — asserted in
+// tests/simd_batch_test.cpp and tests/simd_fa_equivalence_test.cpp across
+// tiers, z values and block sizes. Configurations outside the lane envelope
+// (see the policies), fault campaigns and per-iteration observers fall back
+// to per-frame decodes on the embedded z-lane twin, with the reason
+// recorded in DecodeResult::simd_fallback.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -37,22 +47,35 @@
 
 #include "codes/qc_code.hpp"
 #include "core/decoder.hpp"
+#include "core/fa_tables.hpp"
 #include "core/quant.hpp"
 #include "core/simd/simd_kernel.hpp"
 #include "core/simd/simd_layered.hpp"
+#include "core/simd/simd_messages.hpp"
 #include "util/aligned.hpp"
 
 namespace ldpc {
 
-class SimdBatchDecoder final : public Decoder {
+template <class P>
+class SimdBatchDriver final : public Decoder {
  public:
-  /// Normalized min-sum; scale taken from options (0.75 -> the paper's
-  /// shift-add, anything else -> truncating num/16), mirroring the scalar
-  /// and z-lane decoders. `tier` pins a kernel tier (tests); default picks
-  /// the best available at runtime.
-  SimdBatchDecoder(const QCLdpcCode& code, DecoderOptions options,
-                   FixedFormat format = FixedFormat{},
-                   std::optional<simd::SimdTier> tier = std::nullopt);
+  using Elem = typename P::Elem;
+
+  /// int16: normalized min-sum; scale taken from options (0.75 -> the
+  /// paper's shift-add, anything else -> truncating num/16), mirroring the
+  /// scalar and z-lane decoders. `tier` pins a kernel tier (tests); default
+  /// picks the best available at runtime.
+  SimdBatchDriver(const QCLdpcCode& code, DecoderOptions options,
+                  FixedFormat format = FixedFormat{},
+                  std::optional<simd::SimdTier> tier = std::nullopt)
+    requires std::same_as<P, simd::Q16Messages>;
+
+  /// int8 finite alphabet: `msg_bits` in {2, 3, 4}; the MIM tables are
+  /// built once, by the z-lane twin's embedded scalar decoder.
+  SimdBatchDriver(const QCLdpcCode& code, DecoderOptions options,
+                  int msg_bits, float design_ebn0_db = 2.0F,
+                  std::optional<simd::SimdTier> tier = std::nullopt)
+    requires std::same_as<P, simd::FaMessages>;
 
   /// Single-frame decode rides the embedded z-lane twin — with one frame
   /// there is nothing to batch, and the z-lane kernel is the faster shape.
@@ -64,16 +87,26 @@ class SimdBatchDecoder final : public Decoder {
 
   std::size_t n() const override { return code_.n(); }
   std::size_t k() const override { return code_.k(); }
-  std::string name() const override;
+  std::string name() const override {
+    return "layered-minsum-simd-batched-" + msg_.name();
+  }
+  std::string message_format() const override { return msg_.name(); }
   SaturationStats saturation() const override { return last_saturation_; }
   void set_cancel_token(const CancelToken* token) override;
 
-  /// Frames per full block = the tier's lane count.
+  /// Frames per full block = the tier's lane count for the element type.
   std::size_t block_width() const override { return lanes_; }
 
-  simd::SimdTier tier() const { return tier_; }
-  FixedFormat format() const { return format_; }
-  std::string message_format() const override { return format_.name(); }
+  simd::SimdTier tier() const { return msg_.tier; }
+  /// Posterior grid (int8: q8.2; messages are `tables().msg_bits` wide).
+  FixedFormat format() const { return msg_.format; }
+
+  /// The finite-alphabet MIM tables (owned by the z-lane twin).
+  const FaTableSet& tables() const
+    requires std::same_as<P, simd::FaMessages>
+  {
+    return *msg_.tables;
+  }
 
   /// True when the configuration can never use the batched kernel and
   /// every block decodes per-frame on the z-lane twin.
@@ -102,40 +135,41 @@ class SimdBatchDecoder final : public Decoder {
 
   const QCLdpcCode& code_;
   DecoderOptions options_;
-  FixedFormat format_;
-  simd::ScaleMode mode_ = simd::ScaleMode::kThreeQuarters;
-  std::int16_t scale_num_ = 3;
-  simd::SimdTier tier_;
-  simd::BatchLayerPassFn pass_;
-  simd::BatchSyndromePassFn syndrome_;
+  /// z-lane twin: single-frame decode path, construction-time validation
+  /// (and the MIM tables), and the exact per-frame fallback for
+  /// out-of-envelope configurations. Declared before msg_, copied from it.
+  std::unique_ptr<SimdZLaneDriver<P>> single_;
+  P msg_;
   std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
   std::uint32_t z_ = 0;
   std::size_t r_rows_ = 0;  ///< nonzero_blocks * z rows of R memory
 
   std::vector<std::vector<simd::BatchBlock>> layers_;
-  AlignedVec<std::int16_t> p16_;     ///< n rows * F lanes posteriors
-  AlignedVec<std::int16_t> r16_;     ///< r_rows_ * F check messages
-  AlignedVec<std::int16_t> q16_;     ///< max_deg * F row scratch
-  AlignedVec<std::int16_t> active_;  ///< F lane mask (-1 live, 0 idle)
-  AlignedVec<std::int16_t> r_keep_;  ///< F lane mask (0 = first iteration,
-                                     ///< R reads as 0 — see r_keep in
-                                     ///< SimdBatchLayerPass)
-  std::vector<std::int16_t> stage_;  ///< n quantized codes staging row
-                                     ///< (vector-quantized, then scattered
-                                     ///< into a lane column at refill)
+  AlignedVec<Elem> p_;       ///< n rows * F lanes posteriors
+  AlignedVec<Elem> r_;       ///< r_rows_ * F check messages
+  AlignedVec<Elem> q_;       ///< max_deg * F row scratch
+  AlignedVec<Elem> active_;  ///< F lane mask (-1 live, 0 idle)
+  AlignedVec<Elem> r_keep_;  ///< F lane mask (0 = first iteration, R reads
+                             ///< as 0 — see r_keep in SimdBatchLayerPass)
+  std::vector<Elem> stage_;  ///< n quantized codes staging row
+                             ///< (vector-quantized, then scattered into a
+                             ///< lane column at refill)
   std::vector<Lane> lane_;
-  std::vector<long long> q_clips_;         ///< per-lane clip accumulators
-  std::vector<long long> r_clips_;
+  std::vector<long long> q_clips_;     ///< per-lane clip accumulators
+  std::vector<long long> r_clips_;     ///< (int8: structurally zero)
   std::vector<long long> p_clips_;
-  std::vector<long long> degenerate_;      ///< per-lane degenerate checks
-  std::vector<std::int32_t> weight_;       ///< per-lane syndrome weights
+  std::vector<long long> degenerate_;  ///< per-lane degenerate checks
+  std::vector<std::int32_t> weight_;   ///< per-lane syndrome weights
 
-  /// z-lane twin: single-frame decode path, construction-time validation,
-  /// and the exact per-frame fallback for out-of-envelope configurations.
-  std::unique_ptr<SimdLayeredDecoder> single_;
   bool force_fallback_ = false;
   const CancelToken* cancel_ = nullptr;  ///< single-frame path only
   SaturationStats last_saturation_;
 };
+
+using SimdBatchDecoder = SimdBatchDriver<simd::Q16Messages>;
+using SimdFaBatchDecoder = SimdBatchDriver<simd::FaMessages>;
+
+extern template class SimdBatchDriver<simd::Q16Messages>;
+extern template class SimdBatchDriver<simd::FaMessages>;
 
 }  // namespace ldpc

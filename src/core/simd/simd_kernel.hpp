@@ -327,18 +327,21 @@ bool tier_available(SimdTier tier);
 /// All usable tiers on this host, portable first (for test sweeps).
 std::vector<SimdTier> available_tiers();
 
-/// Kernel for a specific tier; throws ldpc::Error if unavailable.
-LayerPassFn layer_pass_for(SimdTier tier);
+/// Every kernel entry point of one tier: the int16 q-format kernels and
+/// the int8 finite-alphabet kernels, each in the z-lane and batched shape.
+/// The decoders' message policies (simd_messages.hpp) pick their entries.
+struct Kernels {
+  LayerPassFn layer_pass;
+  BatchLayerPassFn batch_layer_pass;
+  BatchSyndromePassFn batch_syndrome_pass;
+  FaLayerPassFn fa_layer_pass;
+  FaBatchLayerPassFn fa_batch_layer_pass;
+  FaBatchSyndromePassFn fa_batch_syndrome_pass;
+  FaQuantizePassFn fa_quantize_pass;
+};
 
-/// Batched kernels for a specific tier; throw ldpc::Error if unavailable.
-BatchLayerPassFn batch_layer_pass_for(SimdTier tier);
-BatchSyndromePassFn batch_syndrome_pass_for(SimdTier tier);
-
-/// Finite-alphabet int8 kernels for a specific tier; throw if unavailable.
-FaLayerPassFn fa_layer_pass_for(SimdTier tier);
-FaBatchLayerPassFn fa_batch_layer_pass_for(SimdTier tier);
-FaBatchSyndromePassFn fa_batch_syndrome_pass_for(SimdTier tier);
-FaQuantizePassFn fa_quantize_pass_for(SimdTier tier);
+/// Kernel table of a specific tier; throws ldpc::Error if unavailable.
+const Kernels& kernels_for(SimdTier tier);
 
 /// Best available tier, honouring an LDPC_SIMD_TIER environment override.
 /// An override naming a *known but unavailable* tier (e.g. avx512 on a CPU

@@ -9,68 +9,67 @@
 
 namespace ldpc {
 
-namespace {
-
-/// Lane-count granularity the scratch strides are padded to: at least 16
-/// (one layout covers the 8- and 16-lane tiers), or the tier's own lane
-/// count when it is wider — the 32-lane AVX-512 tier steps a full vector
-/// at a time, so z_pad must be a multiple of 32 for it (z = 10 pads to 32,
-/// z = 33 to 64; z = 96 stays 96 either way).
-constexpr std::uint32_t pad_for(std::uint32_t z, simd::SimdTier tier) {
-  const std::uint32_t lanes = std::max(16U, simd::tier_lanes(tier));
-  return (z + lanes - 1) & ~(lanes - 1);
-}
-
-}  // namespace
-
-SimdLayeredDecoder::SimdLayeredDecoder(const QCLdpcCode& code,
-                                       DecoderOptions options,
-                                       FixedFormat format,
-                                       std::optional<simd::SimdTier> tier)
+template <class P>
+SimdZLaneDriver<P>::SimdZLaneDriver(const QCLdpcCode& code,
+                                    DecoderOptions options,
+                                    FixedFormat format,
+                                    std::optional<simd::SimdTier> tier)
+  requires std::same_as<P, simd::Q16Messages>
     : code_(code),
       options_(options),
-      format_(format),
-      tier_(tier.value_or(simd::best_tier())),
-      pass_(simd::layer_pass_for(tier_)) {
-  // The scalar twin runs the identical kernel-parameter derivation and
-  // validation (scale fraction bounds, format sanity, max_iterations).
-  scalar_ = std::make_unique<LayeredMinSumFixedDecoder>(code, options, format);
-  if (options_.scale == 0.75F) {
-    mode_ = simd::ScaleMode::kThreeQuarters;
-  } else {
-    mode_ = simd::ScaleMode::kNumOver16;
-    scale_num_ = static_cast<std::int16_t>(
-        static_cast<std::int32_t>(options_.scale * 16.0F + 0.5F));
-  }
-  force_scalar_ = format_.total_bits > 15;
+      // The scalar twin runs the identical kernel-parameter derivation and
+      // validation (scale fraction bounds, format sanity, max_iterations).
+      scalar_(std::make_unique<LayeredMinSumFixedDecoder>(code, options,
+                                                          format)),
+      msg_(format, options.scale, tier) {
   init_geometry();
 }
 
-SimdLayeredDecoder::SimdLayeredDecoder(const QCLdpcCode& code,
-                                       DecoderOptions options,
-                                       FixedFormat format,
-                                       std::int32_t offset_code,
-                                       std::string label,
-                                       std::optional<simd::SimdTier> tier)
+template <class P>
+SimdZLaneDriver<P>::SimdZLaneDriver(const QCLdpcCode& code,
+                                    DecoderOptions options,
+                                    FixedFormat format,
+                                    std::int32_t offset_code,
+                                    std::string label,
+                                    std::optional<simd::SimdTier> tier)
+  requires std::same_as<P, simd::Q16Messages>
     : code_(code),
       options_(options),
-      format_(format),
-      label_(std::move(label)),
-      mode_(simd::ScaleMode::kOffset),
-      tier_(tier.value_or(simd::best_tier())),
-      pass_(simd::layer_pass_for(tier_)) {
-  scalar_ = std::make_unique<LayeredMinSumFixedDecoder>(
-      code, options, LayerRowKernel::offset_kernel(format, offset_code),
-      label_);
-  offset_code_ = static_cast<std::int16_t>(
-      std::min<std::int32_t>(offset_code, INT16_MAX));
-  force_scalar_ = format_.total_bits > 15 || offset_code > INT16_MAX;
+      scalar_(std::make_unique<LayeredMinSumFixedDecoder>(
+          code, options, LayerRowKernel::offset_kernel(format, offset_code),
+          label)),
+      msg_(simd::Q16Messages::offset(format, offset_code, tier)),
+      label_(std::move(label)) {
   init_geometry();
 }
 
-void SimdLayeredDecoder::init_geometry() {
+template <class P>
+SimdZLaneDriver<P>::SimdZLaneDriver(const QCLdpcCode& code,
+                                    DecoderOptions options, int msg_bits,
+                                    float design_ebn0_db,
+                                    std::optional<simd::SimdTier> tier)
+  requires std::same_as<P, simd::FaMessages>
+    : code_(code),
+      options_(options),
+      // The scalar twin builds (and owns) the MIM tables and runs the same
+      // option validation.
+      scalar_(std::make_unique<LayeredMinSumFaDecoder>(code, options,
+                                                       msg_bits,
+                                                       design_ebn0_db)),
+      msg_(scalar_->tables(), tier) {
+  init_geometry();
+}
+
+template <class P>
+void SimdZLaneDriver<P>::init_geometry() {
   z_ = static_cast<std::uint32_t>(code_.z());
-  z_pad_ = pad_for(z_, tier_);
+  // Lane-count granularity the scratch strides are padded to: at least 16
+  // (one layout covers the narrow tiers), or the tier's own lane count
+  // when it is wider — a wide tier steps a full vector at a time, so z_pad
+  // must be a multiple of it (int16 AVX-512: z = 10 pads to 32, z = 33 to
+  // 64; int8 AVX-512: z = 96 pads to 128).
+  const std::uint32_t lanes = std::max(16U, P::lanes(msg_.tier));
+  z_pad_ = (z_ + lanes - 1) & ~(lanes - 1);
   std::size_t max_deg = 0;
   gather_.reserve(code_.layers().size());
   r_base_.reserve(code_.layers().size());
@@ -87,93 +86,87 @@ void SimdLayeredDecoder::init_geometry() {
     gather_.push_back(std::move(gs));
     r_base_.push_back(std::move(rb));
   }
-  posterior16_.resize(code_.n());
-  r16_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
+  posterior_.resize(code_.n());
+  r_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
   p_scratch_.resize(max_deg * z_pad_);
   q_scratch_.resize(max_deg * z_pad_);
+  force_scalar_ = !msg_.zlane_fits(max_deg);
 }
 
-bool SimdLayeredDecoder::must_use_scalar() const {
-  return force_scalar_ ||
-         (options_.fault_injector && options_.fault_injector->enabled());
+template <class P>
+SimdFallback SimdZLaneDriver<P>::config_fallback() const {
+  if (force_scalar_) return SimdFallback::kWideFormat;
+  if (options_.fault_injector && options_.fault_injector->enabled())
+    return SimdFallback::kFaultInjector;
+  return SimdFallback::kNone;
 }
 
-std::string SimdLayeredDecoder::name() const {
-  return label_.empty() ? "layered-minsum-simd-" + format_.name() : label_;
+template <class P>
+DecodeResult SimdZLaneDriver<P>::on_scalar(DecodeResult result,
+                                           SimdFallback reason) {
+  // Record *why* the lane kernel was bypassed: a benchmark or serving
+  // config silently riding the scalar twin is a perf bug, not a
+  // correctness one, and must be visible from the outside.
+  last_used_scalar_ = true;
+  last_fallback_ = reason;
+  result.simd_fallback = reason;
+  return result;
 }
 
-SaturationStats SimdLayeredDecoder::saturation() const {
+template <class P>
+SaturationStats SimdZLaneDriver<P>::saturation() const {
   return last_used_scalar_ ? scalar_->saturation() : saturation_;
 }
 
-void SimdLayeredDecoder::set_cancel_token(const CancelToken* token) {
+template <class P>
+void SimdZLaneDriver<P>::set_cancel_token(const CancelToken* token) {
   cancel_ = token;
   scalar_->set_cancel_token(token);
 }
 
-DecodeResult SimdLayeredDecoder::decode(std::span<const float> llr) {
+template <class P>
+DecodeResult SimdZLaneDriver<P>::decode(std::span<const float> llr) {
   LDPC_CHECK(llr.size() == code_.n());
-  if (must_use_scalar()) {
-    last_used_scalar_ = true;
-    DecodeResult result = scalar_->decode(llr);
-    // Record *why* the lane kernel was bypassed: a benchmark or serving
-    // config silently riding the scalar twin is a perf bug, not a
-    // correctness one, and used to be invisible from the outside.
-    result.simd_fallback = force_scalar_ ? SimdFallback::kWideFormat
-                                         : SimdFallback::kFaultInjector;
-    last_fallback_ = result.simd_fallback;
-    return result;
-  }
-  last_used_scalar_ = false;
-  last_fallback_ = SimdFallback::kNone;
+  const SimdFallback reason = config_fallback();
+  if (reason != SimdFallback::kNone)
+    return on_scalar(scalar_->decode(llr), reason);
   saturation_.quantizer_clips = 0;
   if (options_.count_saturation) {
     for (std::size_t v = 0; v < llr.size(); ++v)
-      posterior16_[v] = static_cast<std::int16_t>(
-          format_.quantize(llr[v], saturation_.quantizer_clips));
+      posterior_[v] = msg_.quantize(llr[v], saturation_.quantizer_clips);
   } else {
-    for (std::size_t v = 0; v < llr.size(); ++v)
-      posterior16_[v] = static_cast<std::int16_t>(format_.quantize(llr[v]));
+    msg_.quantize_row(llr.data(), posterior_.data(), llr.size());
   }
   return run();
 }
 
-DecodeResult SimdLayeredDecoder::decode_quantized(
+template <class P>
+DecodeResult SimdZLaneDriver<P>::decode_quantized(
     std::span<const std::int32_t> channel_codes) {
   LDPC_CHECK(channel_codes.size() == code_.n());
-  bool lanes_ok = !must_use_scalar();
-  if (lanes_ok) {
+  SimdFallback reason = config_fallback();
+  if (reason == SimdFallback::kNone) {
     // The scalar decoder accepts arbitrary int32 codes; the lane kernels
-    // assume rail-bounded inputs. Out-of-rail codes (never produced by
-    // FixedFormat::quantize) ride the scalar twin instead.
-    const std::int32_t lo = format_.min_code();
-    const std::int32_t hi = format_.max_code();
-    for (const std::int32_t c : channel_codes) {
-      if (c < lo || c > hi) {
-        lanes_ok = false;
-        break;
-      }
-    }
+    // assume rail-bounded inputs. Out-of-rail codes (never produced by the
+    // quantizer) ride the scalar twin instead.
+    const std::int32_t lo = msg_.rail_lo();
+    const std::int32_t hi = msg_.rail_hi();
+    if (std::any_of(channel_codes.begin(), channel_codes.end(),
+                    [&](std::int32_t c) { return c < lo || c > hi; }))
+      reason = SimdFallback::kOutOfRailInput;
   }
-  if (!lanes_ok) {
-    last_used_scalar_ = true;
-    DecodeResult result = scalar_->decode_quantized(channel_codes);
-    result.simd_fallback = must_use_scalar()
-                               ? (force_scalar_ ? SimdFallback::kWideFormat
-                                                : SimdFallback::kFaultInjector)
-                               : SimdFallback::kOutOfRailInput;
-    last_fallback_ = result.simd_fallback;
-    return result;
-  }
-  last_used_scalar_ = false;
-  last_fallback_ = SimdFallback::kNone;
+  if (reason != SimdFallback::kNone)
+    return on_scalar(scalar_->decode_quantized(channel_codes), reason);
   for (std::size_t v = 0; v < channel_codes.size(); ++v)
-    posterior16_[v] = static_cast<std::int16_t>(channel_codes[v]);
+    posterior_[v] = static_cast<Elem>(channel_codes[v]);
   return run();
 }
 
-DecodeResult SimdLayeredDecoder::run() {
-  std::fill(r16_.begin(), r16_.end(), std::int16_t{0});
+template <class P>
+DecodeResult SimdZLaneDriver<P>::run() {
+  last_used_scalar_ = false;
+  last_fallback_ = SimdFallback::kNone;
+  std::fill(r_.begin(), r_.end(), Elem{0});
   saturation_.datapath_clips = 0;
   saturation_.q_clips = 0;
   saturation_.r_clips = 0;
@@ -188,21 +181,18 @@ DecodeResult SimdLayeredDecoder::run() {
   BitVec previous_hard;
   if (options_.observer) previous_hard.resize(code_.n());
 
-  simd::SimdLayerPass pass;
+  typename P::LayerPass pass;
   pass.p = p_scratch_.data();
   pass.q = q_scratch_.data();
-  pass.r = r16_.data();
+  pass.r = r_.data();
   pass.z_pad = z_pad_;
-  pass.lo = static_cast<std::int16_t>(format_.min_code());
-  pass.hi = static_cast<std::int16_t>(format_.max_code());
-  pass.mode = mode_;
-  pass.scale_num = scale_num_;
-  pass.offset_code = offset_code_;
   pass.count_clips = options_.count_saturation;
   pass.stats = &saturation_;
+  msg_.setup(pass);
 
   for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
     result.iterations = iter;
+    msg_.start_iteration(pass, iter);
 
     for (std::size_t l = 0; l < gather_.size(); ++l) {
       // Same cooperative-cancellation cadence as the scalar decoder: the
@@ -216,37 +206,37 @@ DecodeResult SimdLayeredDecoder::run() {
       if (deg == 0) continue;
 
       // Barrel-shift gather: rotate each block column's z posteriors into
-      // contiguous lane order, zero the padding lanes (which then provably
-      // produce no saturation or message traffic).
+      // contiguous lane order, zero the padding lanes.
       for (std::uint32_t j = 0; j < deg; ++j) {
-        const std::int16_t* src = posterior16_.data() + gs[j].p_base;
-        std::int16_t* dst = p_scratch_.data() + j * z_pad_;
+        const Elem* src = posterior_.data() + gs[j].p_base;
+        Elem* dst = p_scratch_.data() + j * z_pad_;
         const std::uint32_t shift = gs[j].shift;
-        std::memcpy(dst, src + shift, (z_ - shift) * sizeof(std::int16_t));
-        std::memcpy(dst + (z_ - shift), src, shift * sizeof(std::int16_t));
-        std::memset(dst + z_, 0, (z_pad_ - z_) * sizeof(std::int16_t));
+        std::memcpy(dst, src + shift, (z_ - shift) * sizeof(Elem));
+        std::memcpy(dst + (z_ - shift), src, shift * sizeof(Elem));
+        std::memset(dst + z_, 0, (z_pad_ - z_) * sizeof(Elem));
       }
 
       pass.r_base = r_base_[l].data();
       pass.deg = deg;
       pass.degenerate = deg < 2;
-      pass_(pass);
+      msg_.layer(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
-      // per layer pass — same accounting as LayerRowKernel.
+      // per layer pass — same accounting as the scalar row kernels.
       if (deg < 2) saturation_.degenerate_checks += z_;
+      msg_.finish_layer(pass, z_);
 
       // Scatter: inverse rotation back into natural variable order.
       for (std::uint32_t j = 0; j < deg; ++j) {
-        const std::int16_t* src = p_scratch_.data() + j * z_pad_;
-        std::int16_t* dst = posterior16_.data() + gs[j].p_base;
+        const Elem* src = p_scratch_.data() + j * z_pad_;
+        Elem* dst = posterior_.data() + gs[j].p_base;
         const std::uint32_t shift = gs[j].shift;
-        std::memcpy(dst + shift, src, (z_ - shift) * sizeof(std::int16_t));
-        std::memcpy(dst, src + (z_ - shift), shift * sizeof(std::int16_t));
+        std::memcpy(dst + shift, src, (z_ - shift) * sizeof(Elem));
+        std::memcpy(dst, src + (z_ - shift), shift * sizeof(Elem));
       }
     }
 
     for (std::size_t v = 0; v < code_.n(); ++v)
-      result.hard_bits.set(v, posterior16_[v] < 0);
+      result.hard_bits.set(v, posterior_[v] < 0);
     const bool want_weight =
         static_cast<bool>(options_.observer) || options_.watchdog.enabled();
     std::size_t weight = 0;
@@ -256,8 +246,8 @@ DecodeResult SimdLayeredDecoder::run() {
       snap.iteration = iter;
       snap.syndrome_weight = weight;
       double sum = 0.0;
-      for (const std::int16_t p : posterior16_)
-        sum += std::abs(static_cast<double>(format_.dequantize(p)));
+      for (const Elem p : posterior_)
+        sum += std::abs(static_cast<double>(msg_.format.dequantize(p)));
       snap.mean_abs_llr = sum / static_cast<double>(code_.n());
       snap.flipped_bits = result.hard_bits.hamming_distance(previous_hard);
       snap.saturation_clips =
@@ -285,5 +275,8 @@ DecodeResult SimdLayeredDecoder::run() {
       classify_exit(result.converged, watchdog_fired, 0, cancelled);
   return result;
 }
+
+template class SimdZLaneDriver<simd::Q16Messages>;
+template class SimdZLaneDriver<simd::FaMessages>;
 
 }  // namespace ldpc

@@ -23,8 +23,7 @@
 #include "codes/wifi.hpp"
 #include "codes/wimax.hpp"
 #include "core/layered_minsum_fa.hpp"
-#include "core/simd/simd_fa_batch.hpp"
-#include "core/simd/simd_fa_layered.hpp"
+#include "core/simd/simd_batch.hpp"
 #include "util/rng.hpp"
 
 namespace ldpc {

@@ -9,6 +9,8 @@
 //     bit-identical to the scalar reference;
 //   * batched fault-campaign and observer decodes fall back per frame and
 //     say so (kFaultInjector / kObserver), with scalar-identical results;
+//   * the uncounted row quantizer matches the scalar codes on hostile
+//     LLRs (NaN, infinities, ties, rail-hot values) in both shapes;
 //   * the z-lane quantized entry point routes out-of-rail codes to the
 //     scalar twin (kOutOfRailInput) and matches the scalar decode;
 //   * z-lane observer snapshots match the scalar decoder's.
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -31,8 +34,6 @@
 #include "core/layered_minsum_fa.hpp"
 #include "core/layered_minsum_fixed.hpp"
 #include "core/simd/simd_batch.hpp"
-#include "core/simd/simd_fa_batch.hpp"
-#include "core/simd/simd_fa_layered.hpp"
 #include "core/simd/simd_layered.hpp"
 #include "fault/fault_injector.hpp"
 #include "util/rng.hpp"
@@ -261,6 +262,45 @@ TYPED_TEST(SimdFamily, BatchedObserverFallsBackPerFrame) {
       expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f], ctx);
     }
     EXPECT_EQ(snapshots, ref_iterations) << simd::to_string(tier);
+  }
+}
+
+// ------------------------------------------------------------ quantizer ----
+
+TYPED_TEST(SimdFamily, UncountedQuantizerMatchesScalarOnHostileLlrs) {
+  // count_saturation = false quantizes through the policy's row quantizer
+  // in both shapes; rail-hot, tied, NaN and infinite LLRs must land on the
+  // scalar decoder's codes.
+  const auto code = make_wifi_648_half_rate();
+  std::vector<float> llr = noisy_llr(code, 2.0F, 21);
+  for (std::size_t v = 0; v < llr.size(); v += 7) llr[v] *= 100.0F;
+  llr[3] = std::numeric_limits<float>::quiet_NaN();
+  llr[10] = std::numeric_limits<float>::infinity();
+  llr[11] = -std::numeric_limits<float>::infinity();
+  llr[12] = 0.125F;  // exactly half a q8.2 step: ties round away from zero
+  llr[13] = -0.375F;
+  const DecoderOptions opt;  // count_saturation defaults to false
+  const auto scalar = TypeParam::scalar(code, opt);
+  const DecodeResult ref = scalar->decode(llr);
+  const SaturationStats ref_sat = scalar->saturation();
+
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    const auto lane = TypeParam::zlane(code, opt, tier);
+    const DecodeResult rv = lane->decode(llr);
+    EXPECT_EQ(rv.simd_fallback, SimdFallback::kNone) << ctx;
+    expect_same_decode(ref, ref_sat, rv, lane->saturation(), ctx + " zlane");
+
+    const auto batched = TypeParam::batched(code, opt, tier);
+    const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
+    std::vector<DecodeResult> results(2);
+    std::vector<SaturationStats> saturation(2);
+    batched->decode_block(frames, results, saturation);
+    for (std::size_t f = 0; f < 2; ++f) {
+      EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
+      expect_same_decode(ref, ref_sat, results[f], saturation[f],
+                         ctx + " batched frame=" + std::to_string(f));
+    }
   }
 }
 
