@@ -13,7 +13,10 @@
 //     LLRs (NaN, infinities, ties, rail-hot values) in both shapes;
 //   * the z-lane quantized entry point routes out-of-rail codes to the
 //     scalar twin (kOutOfRailInput) and matches the scalar decode;
-//   * z-lane observer snapshots match the scalar decoder's.
+//   * z-lane observer snapshots match the scalar decoder's;
+//   * a degree-1 layer (R' forced to 0, degenerate-check accounting) on
+//     a z below every lane width matches the scalar decoder in both
+//     shapes, counted clips included.
 //
 // scripts/check.sh also runs this suite on the scalar-only
 // (LDPC_SIMD=OFF) build.
@@ -28,7 +31,9 @@
 
 #include "channel/awgn.hpp"
 #include "channel/modem.hpp"
+#include "codes/base_matrix.hpp"
 #include "codes/encoder.hpp"
+#include "codes/qc_code.hpp"
 #include "codes/wifi.hpp"
 #include "core/fa_tables.hpp"
 #include "core/layered_minsum_fa.hpp"
@@ -299,6 +304,67 @@ TYPED_TEST(SimdFamily, UncountedQuantizerMatchesScalarOnHostileLlrs) {
     for (std::size_t f = 0; f < 2; ++f) {
       EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
       expect_same_decode(ref, ref_sat, results[f], saturation[f],
+                         ctx + " batched frame=" + std::to_string(f));
+    }
+  }
+}
+
+// ---------------------------------------------------- degenerate layers ----
+
+TYPED_TEST(SimdFamily, DegreeOneLayerMatchesScalarInBothShapes) {
+  // A layer of block degree 1 has no extrinsic input: every kernel forces
+  // R' = 0 on its rows and the driver counts them as degenerate checks.
+  // No shipped code has such a layer, so this hand-written base matrix
+  // (layer 2 touches block column 5 alone, z = 10 is no multiple of any
+  // lane width) is the only test that runs that branch. The all-zero word
+  // is a codeword of any linear code, so no encoder is needed.
+  const QCLdpcCode code(BaseMatrix(4, 8,
+                                   {1, -1, 4, 0, 0, -1, -1, -1,   //
+                                    -1, 3, 7, -1, 0, 0, 2, -1,    //
+                                    -1, -1, -1, -1, -1, 0, -1, -1,  //
+                                    6, 2, -1, 9, -1, 5, 0, 0},
+                                   10, "degree-1-layer"));
+  ASSERT_EQ(code.layers()[2].size(), 1U);
+  const DecoderOptions opt = counting_options();
+  const auto scalar = TypeParam::scalar(code, opt);
+
+  const float variance = awgn_noise_variance(1.0F, code.rate());
+  std::vector<std::vector<float>> pool;
+  std::vector<DecodeResult> refs;
+  std::vector<SaturationStats> ref_sat;
+  long long ref_clips = 0;
+  for (std::size_t f = 0; f < 5; ++f) {
+    AwgnChannel ch(variance, f * 53 + 11);
+    pool.push_back(BpskModem::demodulate(
+        ch.transmit(BpskModem::modulate(BitVec(code.n()))), variance));
+    // Rail-hot inputs so the counted clip sites see traffic too.
+    for (std::size_t v = f; v < code.n(); v += 9) pool.back()[v] *= 20.0F;
+    refs.push_back(scalar->decode(pool.back()));
+    ref_sat.push_back(scalar->saturation());
+    ASSERT_GT(ref_sat.back().degenerate_checks, 0);
+    ref_clips += ref_sat.back().q_clips + ref_sat.back().p_clips;
+  }
+  ASSERT_GT(ref_clips, 0);
+
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    const auto lane = TypeParam::zlane(code, opt, tier);
+    for (std::size_t f = 0; f < pool.size(); ++f) {
+      const DecodeResult rv = lane->decode(pool[f]);
+      EXPECT_EQ(rv.simd_fallback, SimdFallback::kNone) << ctx;
+      expect_same_decode(refs[f], ref_sat[f], rv, lane->saturation(),
+                         ctx + " zlane frame=" + std::to_string(f));
+    }
+
+    const auto batched = TypeParam::batched(code, opt, tier);
+    std::vector<BlockFrame> frames;
+    for (const auto& llr : pool) frames.push_back({llr, nullptr});
+    std::vector<DecodeResult> results(frames.size());
+    std::vector<SaturationStats> saturation(frames.size());
+    batched->decode_block(frames, results, saturation);
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
+      expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f],
                          ctx + " batched frame=" + std::to_string(f));
     }
   }
