@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Full verification gate: everything CI runs, in one command.
 #
-#   1. tier-1 verify   — warnings-as-errors build + complete ctest suite
+#   1. tier-1 verify   — warnings-as-errors build + complete ctest suite,
+#                        then the benchmark harness's own tests
+#                        (perfbench/tests; builds .bench_build/perfbench
+#                        on first use)
 #   2. scalar-only     — LDPC_SIMD=OFF build (portable kernel only) running
 #                        the SIMD equivalence suites (z-lane *and* the
 #                        inter-frame-batched fused path), proving the
@@ -81,6 +84,7 @@ echo "== [1/13] tier-1 verify (LDPC_WERROR=ON) =="
 cmake -B build -S . -DLDPC_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure --timeout "$TEST_TIMEOUT"
+python3 -m unittest discover -s perfbench/tests
 
 echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence =="
 cmake -B build-nosimd -S . -DLDPC_SIMD=OFF -DLDPC_WERROR=ON

@@ -62,8 +62,8 @@ inline const char* to_string(DecodeStatus s) {
 enum class SimdFallback : std::uint8_t {
   kNone,            ///< lane kernel executed
   /// Configuration outside the decoder's lane envelope: an int16 format
-  /// wider than 15 bits or an offset beyond int16, an int8 finite-alphabet
-  /// layer degree >= 128, or (batched int16) a z * degree product >= 32768.
+  /// wider than 15 bits or an offset beyond int16, or an int8
+  /// finite-alphabet layer degree >= 128.
   kWideFormat,
   kFaultInjector,   ///< active fault campaign: corruption order is scalar
   kOutOfRailInput,  ///< quantized entry point saw out-of-rail codes

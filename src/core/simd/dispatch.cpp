@@ -42,57 +42,26 @@ std::vector<SimdTier> available_tiers() {
   return tiers;
 }
 
-namespace {
-
-constexpr Kernels kPortableKernels{
-    &layer_pass_portable,           &batch_layer_pass_portable,
-    &batch_syndrome_pass_portable,  &fa_layer_pass_portable,
-    &fa_batch_layer_pass_portable,  &fa_batch_syndrome_pass_portable,
-    &fa_quantize_pass_portable,
-};
-#ifdef LDPC_SIMD_X86
-constexpr Kernels kSse2Kernels{
-    &layer_pass_sse2,           &batch_layer_pass_sse2,
-    &batch_syndrome_pass_sse2,  &fa_layer_pass_sse2,
-    &fa_batch_layer_pass_sse2,  &fa_batch_syndrome_pass_sse2,
-    &fa_quantize_pass_sse2,
-};
-constexpr Kernels kAvx2Kernels{
-    &layer_pass_avx2,           &batch_layer_pass_avx2,
-    &batch_syndrome_pass_avx2,  &fa_layer_pass_avx2,
-    &fa_batch_layer_pass_avx2,  &fa_batch_syndrome_pass_avx2,
-    &fa_quantize_pass_avx2,
-};
-constexpr Kernels kAvx512Kernels{
-    &layer_pass_avx512,           &batch_layer_pass_avx512,
-    &batch_syndrome_pass_avx512,  &fa_layer_pass_avx512,
-    &fa_batch_layer_pass_avx512,  &fa_batch_syndrome_pass_avx512,
-    &fa_quantize_pass_avx512,
-};
-#endif
-
-}  // namespace
-
 const Kernels& kernels_for(SimdTier tier) {
   LDPC_CHECK_MSG(tier_available(tier),
                  "SIMD tier " << to_string(tier)
                               << " is not available in this build/CPU");
   switch (tier) {
     case SimdTier::kPortable:
-      return kPortableKernels;
+      return detail::portable_kernels();
 #ifdef LDPC_SIMD_X86
     case SimdTier::kSse2:
-      return kSse2Kernels;
+      return detail::sse2_kernels();
     case SimdTier::kAvx2:
-      return kAvx2Kernels;
+      return detail::avx2_kernels();
     case SimdTier::kAvx512:
-      return kAvx512Kernels;
+      return detail::avx512_kernels();
 #else
     default:
       break;
 #endif
   }
-  return kPortableKernels;  // unreachable after the check above
+  return detail::portable_kernels();  // unreachable after the check above
 }
 
 SimdTier tier_from_string(const std::string& name) {

@@ -69,7 +69,6 @@ void SimdBatchDriver<P>::init_geometry() {
   p_clips_.assign(lanes_, 0);
   degenerate_.assign(lanes_, 0);
   weight_.assign(lanes_, 0);
-  force_fallback_ = single_->scalar_only() || !msg_.batch_fits(z_, max_deg);
 }
 
 template <class P>
@@ -94,7 +93,7 @@ void SimdBatchDriver<P>::decode_block(std::span<const BlockFrame> frames,
   for (const BlockFrame& f : frames) LDPC_CHECK(f.llr.size() == code_.n());
 
   SimdFallback reason = SimdFallback::kNone;
-  if (force_fallback_) {
+  if (single_->scalar_only()) {
     reason = SimdFallback::kWideFormat;
   } else if (options_.fault_injector && options_.fault_injector->enabled()) {
     // Fault-campaign corruption order is defined by scalar access order.
@@ -138,7 +137,7 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
   std::size_t done = 0;
   std::uint32_t live = 0;  // lanes currently carrying a frame
 
-  typename P::BatchPass pass;
+  simd::SimdBatchLayerPass<Elem> pass;
   pass.p = p_.data();
   pass.q = q_.data();
   pass.r = r_.data();
@@ -147,10 +146,11 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
   pass.r_keep = r_keep_.data();
   pass.count_clips = options_.count_saturation;
   pass.q_clips = q_clips_.data();
+  pass.r_clips = r_clips_.data();
   pass.p_clips = p_clips_.data();
-  msg_.setup(pass, r_clips_.data());
+  msg_.setup(pass);
 
-  typename P::BatchSyndromePass syn;
+  simd::SimdBatchSyndromePass<Elem> syn;
   syn.p = p_.data();
   syn.z = z_;
 

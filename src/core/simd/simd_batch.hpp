@@ -33,7 +33,7 @@
 // iteration counts, status, per-site SaturationStats — asserted in
 // tests/simd_batch_test.cpp and tests/simd_fa_equivalence_test.cpp across
 // tiers, z values and block sizes. Configurations outside the lane envelope
-// (see the policies), fault campaigns and per-iteration observers fall back
+// (the z-lane twin's), fault campaigns and per-iteration observers fall back
 // to per-frame decodes on the embedded z-lane twin, with the reason
 // recorded in DecodeResult::simd_fallback.
 #pragma once
@@ -110,7 +110,7 @@ class SimdBatchDriver final : public Decoder {
 
   /// True when the configuration can never use the batched kernel and
   /// every block decodes per-frame on the z-lane twin.
-  bool scalar_only() const { return force_fallback_; }
+  bool scalar_only() const { return single_->scalar_only(); }
 
  private:
   static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
@@ -161,7 +161,6 @@ class SimdBatchDriver final : public Decoder {
   std::vector<long long> degenerate_;  ///< per-lane degenerate checks
   std::vector<std::int32_t> weight_;   ///< per-lane syndrome weights
 
-  bool force_fallback_ = false;
   const CancelToken* cancel_ = nullptr;  ///< single-frame path only
   SaturationStats last_saturation_;
 };

@@ -1,17 +1,18 @@
-// AVX-512 lane kernel: 32 int16 lanes per step — one vector covers a whole
-// 32-frame batch row, and a z = 96 z-lane layer is three vector iterations.
+// AVX-512 lane kernel: 32 int16 / 64 int8 lanes per step — one vector
+// covers a whole 32-frame (int16) or 64-frame (int8) batch row, one cache
+// line, and a z = 96 int16 z-lane layer is three vector iterations.
 // Compiled with -mavx512f -mavx512bw (see src/core/CMakeLists.txt) and only
 // dispatched to after a runtime __builtin_cpu_supports check for both
 // features, so the library binary stays safe on pre-AVX-512 hosts.
 //
 // AVX-512 comparisons natively produce mask registers, not vectors; the
 // LaneOps contract wants all-ones-per-lane vector masks (shared with the
-// SSE2/AVX2/portable tiers), so cmpgt/cmpeq expand their __mmask32 through
-// vpmovm2w. blend() exploits the contract in the other direction: because
-// masks are all-ones per lane, a bitwise ternary-logic select (0xCA =
-// m ? a : b) replaces the mask-register blend with no conversion at all.
+// SSE2/AVX2/portable tiers), so cmpgt/cmpeq expand their __mmask32 /
+// __mmask64 through vpmovm2w / vpmovm2b. blend() exploits the contract in
+// the other direction: because masks are all-ones per lane, a bitwise
+// ternary-logic select (0xCA = m ? a : b) replaces the mask-register blend
+// with no conversion at all.
 #include "core/simd/simd_kernel_impl.hpp"
-#include "core/simd/simd_kernel_impl8.hpp"
 
 #ifdef LDPC_SIMD_X86
 
@@ -20,20 +21,40 @@
 namespace ldpc::simd {
 namespace {
 
-struct Avx512Ops {
-  static constexpr int kLanes = 32;
+/// What both element types share: the 512-bit register and bitwise ops.
+template <class T>
+struct Avx512Common {
+  using Elem = T;
   using Vec = __m512i;
+  static constexpr int kLanes = 64 / sizeof(T);
 
-  static Vec load(const std::int16_t* p) {
+  static Vec load(const T* p) {
     return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
   }
-  static void store(std::int16_t* p, Vec a) {
+  static void store(T* p, Vec a) {
     _mm512_storeu_si512(reinterpret_cast<void*>(p), a);
   }
-  static Vec broadcast(std::int16_t x) { return _mm512_set1_epi16(x); }
   static Vec zero() { return _mm512_setzero_si512(); }
+  static Vec blend(Vec m, Vec a, Vec b) {
+    // Bitwise select (m & a) | (~m & b): exact because lane masks are
+    // all-ones per lane. Truth table 0xCA = m ? a : b.
+    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
+  }
+  static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
+  static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
+  static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+};
+
+template <class T>
+struct Avx512Ops;
+
+template <>
+struct Avx512Ops<std::int16_t> : Avx512Common<std::int16_t> {
+  static Vec broadcast(std::int16_t x) { return _mm512_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm512_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm512_sub_epi16(a, b); }
+  static Vec adds(Vec a, Vec b) { return _mm512_adds_epi16(a, b); }
+  static Vec subs(Vec a, Vec b) { return _mm512_subs_epi16(a, b); }
   static Vec min(Vec a, Vec b) { return _mm512_min_epi16(a, b); }
   static Vec max(Vec a, Vec b) { return _mm512_max_epi16(a, b); }
   static Vec cmpgt(Vec a, Vec b) {
@@ -42,15 +63,7 @@ struct Avx512Ops {
   static Vec cmpeq(Vec a, Vec b) {
     return _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b));
   }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    // Bitwise select (m & a) | (~m & b): exact because lane masks are
-    // all-ones per int16 lane. Truth table 0xCA = m ? a : b.
-    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
-  }
-  static Vec abs16(Vec a) { return _mm512_abs_epi16(a); }
-  static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+  static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm512_srli_epi16(a, kShift);
@@ -61,51 +74,28 @@ struct Avx512Ops {
   }
   static Vec mullo(Vec a, Vec b) { return _mm512_mullo_epi16(a, b); }
   static Vec mulhi(Vec a, Vec b) { return _mm512_mulhi_epi16(a, b); }
-  static int count_diff(Vec a, Vec b) {
-    return __builtin_popcount(
-        static_cast<unsigned>(_mm512_cmpneq_epi16_mask(a, b)));
-  }
 };
 
-/// Int8 lane policy for the finite-alphabet kernels: 64 int8 lanes per
-/// __m512i — one vector per 64-frame batch row is exactly one cache line.
-/// Comparisons expand their __mmask64 through vpmovm2b; blend stays the
-/// all-ones-mask ternary-logic select, byte-exact.
-struct Avx512Ops8 {
-  static constexpr int kLanes = 64;
-  using Vec = __m512i;
-
-  static Vec load(const std::int8_t* p) {
-    return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
-  }
-  static void store(std::int8_t* p, Vec a) {
-    _mm512_storeu_si512(reinterpret_cast<void*>(p), a);
-  }
+template <>
+struct Avx512Ops<std::int8_t> : Avx512Common<std::int8_t> {
   static Vec broadcast(std::int8_t x) {
     return _mm512_set1_epi8(static_cast<char>(x));
   }
-  static Vec zero() { return _mm512_setzero_si512(); }
-  static Vec add8(Vec a, Vec b) { return _mm512_add_epi8(a, b); }
-  static Vec sub8(Vec a, Vec b) { return _mm512_sub_epi8(a, b); }
-  static Vec adds8(Vec a, Vec b) { return _mm512_adds_epi8(a, b); }
-  static Vec subs8(Vec a, Vec b) { return _mm512_subs_epi8(a, b); }
-  static Vec min8(Vec a, Vec b) { return _mm512_min_epi8(a, b); }
-  static Vec max8(Vec a, Vec b) { return _mm512_max_epi8(a, b); }
-  static Vec cmpgt8(Vec a, Vec b) {
+  static Vec add(Vec a, Vec b) { return _mm512_add_epi8(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm512_sub_epi8(a, b); }
+  static Vec adds(Vec a, Vec b) { return _mm512_adds_epi8(a, b); }
+  static Vec subs(Vec a, Vec b) { return _mm512_subs_epi8(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm512_min_epi8(a, b); }
+  static Vec max(Vec a, Vec b) { return _mm512_max_epi8(a, b); }
+  static Vec cmpgt(Vec a, Vec b) {
     return _mm512_movm_epi8(_mm512_cmpgt_epi8_mask(a, b));
   }
-  static Vec cmpeq8(Vec a, Vec b) {
+  static Vec cmpeq(Vec a, Vec b) {
     return _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(a, b));
   }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
-  }
-  static Vec abs8(Vec a) { return _mm512_abs_epi8(a); }
-  static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+  static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
-    // One masked add replaces the generic cmpgt8 (vpcmpb + vpmovm2b),
+    // One masked add replaces the generic cmpgt (vpcmpb + vpmovm2b),
     // vpand, vpaddb chain: s + ((mag > thr) ? delta : 0) in two
     // instructions, same value byte for byte.
     return _mm512_mask_add_epi8(s, _mm512_cmpgt_epi8_mask(mag, thr), s,
@@ -113,50 +103,12 @@ struct Avx512Ops8 {
   }
 };
 
-}  // namespace
-
-void layer_pass_avx512(const SimdLayerPass& pass) {
-  if (pass.count_clips)
-    detail::layer_pass<Avx512Ops, true>(pass);
-  else
-    detail::layer_pass<Avx512Ops, false>(pass);
-}
-
-void batch_layer_pass_avx512(const SimdBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::batch_layer_pass<Avx512Ops, true>(pass);
-  else
-    detail::batch_layer_pass<Avx512Ops, false>(pass);
-}
-
-void batch_syndrome_pass_avx512(const SimdBatchSyndromePass& pass) {
-  detail::batch_syndrome_pass<Avx512Ops>(pass);
-}
-
-void fa_layer_pass_avx512(const SimdFaLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_layer_pass<Avx512Ops8, true>(pass);
-  else
-    detail::fa_layer_pass<Avx512Ops8, false>(pass);
-}
-
-void fa_batch_layer_pass_avx512(const SimdFaBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_batch_layer_pass<Avx512Ops8, true>(pass);
-  else
-    detail::fa_batch_layer_pass<Avx512Ops8, false>(pass);
-}
-
-void fa_batch_syndrome_pass_avx512(const SimdFaBatchSyndromePass& pass) {
-  detail::fa_batch_syndrome_pass<Avx512Ops8>(pass);
-}
-
 // GCC 12's unmasked AVX-512 float intrinsics expand through
 // _mm512_undefined_ps() merge operands, tripping -Wmaybe-uninitialized
 // (GCC PR 105593). The operands are dead — full-mask forms ignore them.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-void fa_quantize_pass_avx512(const SimdFaQuantizePass& pass) {
+void fa_quantize_pass(const SimdFaQuantizePass& pass) {
   // 16 LLRs per step: one 16-wide float pipeline, clamp on int32, narrow
   // with vpmovdb. Float bit-ops go through integer casts — _mm512_and_ps
   // is AVX-512DQ, which this build does not assume (only F + BW).
@@ -184,6 +136,14 @@ void fa_quantize_pass_avx512(const SimdFaQuantizePass& pass) {
   detail::fa_quantize_scalar(pass, v);
 }
 #pragma GCC diagnostic pop
+
+constexpr Kernels kKernels =
+    detail::make_kernels<Avx512Ops<std::int16_t>, Avx512Ops<std::int8_t>>(
+        &fa_quantize_pass);
+
+}  // namespace
+
+const Kernels& detail::avx512_kernels() { return kKernels; }
 
 }  // namespace ldpc::simd
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "fault/fault_injector.hpp"
 #include "util/check.hpp"
@@ -90,7 +91,10 @@ void SimdZLaneDriver<P>::init_geometry() {
   r_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
   p_scratch_.resize(max_deg * z_pad_);
   q_scratch_.resize(max_deg * z_pad_);
-  force_scalar_ = !msg_.zlane_fits(max_deg);
+  // pos1 and a row's clip counts are lane values, so the layer degree must
+  // fit the element type — no shipped code comes close to int8's 127.
+  force_scalar_ = !msg_.format_fits() ||
+                  max_deg > std::numeric_limits<Elem>::max();
 }
 
 template <class P>
@@ -181,7 +185,7 @@ DecodeResult SimdZLaneDriver<P>::run() {
   BitVec previous_hard;
   if (options_.observer) previous_hard.resize(code_.n());
 
-  typename P::LayerPass pass;
+  simd::SimdLayerPass<Elem> pass;
   pass.p = p_scratch_.data();
   pass.q = q_scratch_.data();
   pass.r = r_.data();

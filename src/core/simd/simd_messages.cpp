@@ -10,10 +10,13 @@ Q16Messages::Q16Messages(FixedFormat fmt, float scale,
     : tier(t.value_or(best_tier())),
       format(fmt),
       kernels_(&kernels_for(tier)),
+      check_{static_cast<Elem>(fmt.min_code()),
+             static_cast<Elem>(fmt.max_code()), ScaleMode::kThreeQuarters,
+             3, 0},
       wide_(fmt.total_bits > 15) {
   if (scale != 0.75F) {
-    mode_ = ScaleMode::kNumOver16;
-    scale_num_ = static_cast<std::int16_t>(
+    check_.mode = ScaleMode::kNumOver16;
+    check_.scale_num = static_cast<std::int16_t>(
         static_cast<std::int32_t>(scale * 16.0F + 0.5F));
   }
 }
@@ -21,8 +24,8 @@ Q16Messages::Q16Messages(FixedFormat fmt, float scale,
 Q16Messages Q16Messages::offset(FixedFormat fmt, std::int32_t offset_code,
                                 std::optional<SimdTier> t) {
   Q16Messages m(fmt, 0.75F, t);
-  m.mode_ = ScaleMode::kOffset;
-  m.offset_code_ = static_cast<std::int16_t>(
+  m.check_.mode = ScaleMode::kOffset;
+  m.check_.offset_code = static_cast<std::int16_t>(
       std::min<std::int32_t>(offset_code, INT16_MAX));
   m.wide_ = m.wide_ || offset_code > INT16_MAX;
   return m;

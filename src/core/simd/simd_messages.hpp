@@ -15,10 +15,10 @@
 //                LayeredMinSumFaDecoder
 //
 // A policy holds the lane element type and count, the tier's kernel
-// entry points, the channel quantizer, the kernel pass set-up, the
-// per-iteration table hooks and the lane envelope. The drivers call it
-// through the concrete type: every call resolves at compile time, and the
-// q16 hooks are empty inline functions.
+// entry points, the channel quantizer, the kernel's check-node parameters,
+// the per-iteration table hooks and the format envelope. The drivers call
+// it through the concrete type: every call resolves at compile time, and
+// the q16 hooks are empty inline functions.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +41,6 @@ class Q16Messages {
  public:
   using Elem = std::int16_t;
   using Scalar = LayeredMinSumFixedDecoder;
-  using LayerPass = SimdLayerPass;
-  using BatchPass = SimdBatchLayerPass;
-  using BatchSyndromePass = SimdBatchSyndromePass;
 
   /// Normalized min-sum: 0.75 -> the paper's shift-add, anything else ->
   /// truncating num/16, like the scalar decoder's primary constructor.
@@ -60,19 +57,10 @@ class Q16Messages {
   std::int32_t rail_lo() const { return format.min_code(); }
   std::int32_t rail_hi() const { return format.max_code(); }
 
-  /// z-lane envelope: the int16 lane arithmetic reproduces the scalar
+  /// Format envelope: the int16 lane arithmetic reproduces the scalar
   /// int32/int64 saturating ops only for formats up to 15 total bits and
   /// offsets that fit an int16 lane.
-  bool zlane_fits(std::size_t /*max_deg*/) const { return !wide_; }
-
-  /// Batched envelope on top of the z-lane one: the masked in-register
-  /// clip counters accumulate up to z * deg events per site per layer pass
-  /// in an int16 lane, so the geometry must keep that product below 2^15.
-  /// Every shipped code is two orders of magnitude under the bound (WiMAX
-  /// 1/2 z=96: 96 * 7 = 672).
-  bool batch_fits(std::size_t z, std::size_t max_deg) const {
-    return z * max_deg < 32768;
-  }
+  bool format_fits() const { return !wide_; }
 
   Elem quantize(float llr, long long& clips) const {
     return static_cast<Elem>(format.quantize(llr, clips));
@@ -81,33 +69,29 @@ class Q16Messages {
   /// FixedFormat::quantize.
   void quantize_row(const float* llr, Elem* out, std::size_t n) const;
 
-  /// Rails and correction of either pass shape.
+  /// Rails and correction, the same for either pass shape.
   template <class Pass>
   void setup(Pass& pass) const {
-    pass.lo = static_cast<Elem>(format.min_code());
-    pass.hi = static_cast<Elem>(format.max_code());
-    pass.mode = mode_;
-    pass.scale_num = scale_num_;
-    pass.offset_code = offset_code_;
-  }
-  void setup(BatchPass& pass, long long* r_clips) const {
-    setup(pass);
-    pass.r_clips = r_clips;
+    pass.check = check_;
   }
 
   // One correction for every iteration: no per-iteration state, and the
   // zero pad lanes of P and R produce zero R' (the scaled or offset min of
   // zero is zero), so R's pad lanes stay zero without help.
-  void start_iteration(LayerPass& /*pass*/, std::size_t /*iter*/) const {}
-  void finish_layer(const LayerPass& /*pass*/, std::uint32_t /*z*/) const {}
+  void start_iteration(SimdLayerPass<Elem>& /*pass*/,
+                       std::size_t /*iter*/) const {}
+  void finish_layer(const SimdLayerPass<Elem>& /*pass*/,
+                    std::uint32_t /*z*/) const {}
   void bind_lanes(std::uint32_t /*lanes*/) {}
   void start_lane_iteration(std::uint32_t /*f*/, std::size_t /*iter*/) {}
 
-  void layer(const LayerPass& pass) const { kernels_->layer_pass(pass); }
-  void batch_layer(const BatchPass& pass) const {
+  void layer(const SimdLayerPass<Elem>& pass) const {
+    kernels_->layer_pass(pass);
+  }
+  void batch_layer(const SimdBatchLayerPass<Elem>& pass) const {
     kernels_->batch_layer_pass(pass);
   }
-  void batch_syndrome(const BatchSyndromePass& pass) const {
+  void batch_syndrome(const SimdBatchSyndromePass<Elem>& pass) const {
     kernels_->batch_syndrome_pass(pass);
   }
 
@@ -116,10 +100,8 @@ class Q16Messages {
 
  private:
   const Kernels* kernels_;
-  ScaleMode mode_ = ScaleMode::kThreeQuarters;
-  std::int16_t scale_num_ = 3;    ///< numerator for kNumOver16
-  std::int16_t offset_code_ = 0;  ///< subtrahend for kOffset
-  bool wide_ = false;             ///< outside the int16 lane envelope
+  Q16Check check_;
+  bool wide_ = false;  ///< outside the int16 lane envelope
 };
 
 /// int8 finite-alphabet messages (fa2/fa3/fa4, see core/fa_tables.hpp).
@@ -127,9 +109,6 @@ class FaMessages {
  public:
   using Elem = std::int8_t;
   using Scalar = LayeredMinSumFaDecoder;
-  using LayerPass = SimdFaLayerPass;
-  using BatchPass = SimdFaBatchLayerPass;
-  using BatchSyndromePass = SimdFaBatchSyndromePass;
 
   /// `tables` is owned by the scalar twin and must outlive the policy.
   FaMessages(const FaTableSet& tables, std::optional<SimdTier> tier);
@@ -139,16 +118,8 @@ class FaMessages {
   std::int32_t rail_lo() const { return -kFaRail; }
   std::int32_t rail_hi() const { return kFaRail; }
 
-  /// pos1 lanes and the per-row int8 clip accumulators both encode the
-  /// block index / event count of one check row in an int8, so the layer
-  /// degree must stay below 128 — no shipped code comes close. Every value
-  /// lives on the symmetric +-127 rail, so there is no wide format.
-  bool zlane_fits(std::size_t max_deg) const { return max_deg < 128; }
-  /// No z * deg product constraint: the FA kernel drains its clip
-  /// accumulators every row.
-  bool batch_fits(std::size_t /*z*/, std::size_t /*max_deg*/) const {
-    return true;
-  }
+  /// Every value lives on the symmetric +-127 rail: no wide format.
+  bool format_fits() const { return true; }
 
   Elem quantize(float llr, long long& clips) const {
     return static_cast<Elem>(fa_quantize(format, llr, clips));
@@ -157,30 +128,29 @@ class FaMessages {
   /// kernel, bit-identical to fa_quantize (see SimdFaQuantizePass).
   void quantize_row(const float* llr, Elem* out, std::size_t n) const;
 
-  void setup(LayerPass& pass) const { pass.num_thr = num_thr_; }
-  void setup(BatchPass& pass, long long* /*r_clips*/) const {
-    // No r_clips: the staircase output is in-alphabet by construction, so
-    // the driver's per-lane r_clips stay zero, as in the scalar FaRowKernel.
-    pass.thr_lanes = thr_lanes_.data();
-    pass.delta_lanes = delta_lanes_.data();
-    pass.recon0_lanes = recon0_lanes_.data();
-    pass.num_thr = num_thr_;
+  void setup(SimdLayerPass<Elem>& pass) const {
+    pass.check.num_thr = num_thr_;
+  }
+  /// Batched shape: the per-lane staircase columns (see bind_lanes).
+  void setup(SimdBatchLayerPass<Elem>& pass) const {
+    pass.check = {thr_lanes_.data(), delta_lanes_.data(),
+                  recon0_lanes_.data(), num_thr_};
   }
 
   /// z-lane shape: point the pass at this iteration's staircase
   /// (iterations beyond the table count reuse the last one).
-  void start_iteration(LayerPass& pass, std::size_t iter) const {
+  void start_iteration(SimdLayerPass<Elem>& pass, std::size_t iter) const {
     const IterTable& it = table_for(iter);
-    pass.thr = it.thr;
-    pass.delta = it.delta;
-    pass.recon0 = it.recon0;
+    pass.check.thr = it.thr;
+    pass.check.delta = it.delta;
+    pass.check.recon0 = &it.recon0;
   }
 
   /// z-lane shape: restore the all-zero-pad R invariant. The pass wrote
   /// +recon0 into the pad lanes of every touched slot (zero rows have a
   /// positive sign product); zero them so the next layer that reads these
   /// slots sees clip-free padding again (P'_pad = recon0 <= 127).
-  void finish_layer(const LayerPass& pass, std::uint32_t z) const {
+  void finish_layer(const SimdLayerPass<Elem>& pass, std::uint32_t z) const {
     if (pass.z_pad == z) return;
     for (std::uint32_t j = 0; j < pass.deg; ++j)
       std::memset(pass.r + pass.r_base[j] + z, 0, pass.z_pad - z);
@@ -205,11 +175,13 @@ class FaMessages {
     }
   }
 
-  void layer(const LayerPass& pass) const { kernels_->fa_layer_pass(pass); }
-  void batch_layer(const BatchPass& pass) const {
+  void layer(const SimdLayerPass<Elem>& pass) const {
+    kernels_->fa_layer_pass(pass);
+  }
+  void batch_layer(const SimdBatchLayerPass<Elem>& pass) const {
     kernels_->fa_batch_layer_pass(pass);
   }
-  void batch_syndrome(const BatchSyndromePass& pass) const {
+  void batch_syndrome(const SimdBatchSyndromePass<Elem>& pass) const {
     kernels_->fa_batch_syndrome_pass(pass);
   }
 

@@ -161,6 +161,39 @@ TEST(SimdBatch, RandomQcZ33OddGeometry) {
              2.5F);
 }
 
+TEST(SimdBatch, LongCirculantNeedsNoGeometryEnvelope) {
+  // z * deg >= 2^15: a single layer pass sees more clip events per lane
+  // than an int16 lane can count, so the kernel must drain its counters
+  // per row, not per pass. A few frames per tier keep the n = 57600 code
+  // cheap under the sanitizers.
+  RandomQcConfig cfg;
+  cfg.z = 4800;
+  cfg.info_row_degree = 5;
+  cfg.seed = 5;
+  const auto code = make_random_qc_code(cfg);
+  ASSERT_GE(static_cast<std::size_t>(code.z()) * code.base().max_row_degree(),
+            32768U);
+  const DecoderOptions opt = counting_options();
+  const FixedFormat fmt{8, 2};
+  LayeredMinSumFixedDecoder scalar(code, opt, fmt);
+  std::vector<std::vector<float>> pool;
+  std::vector<Reference> refs;
+  for (std::size_t f = 0; f < 3; ++f) {
+    pool.push_back(noisy_llr(code, 2.5F, f * 61 + 5));
+    // Rail-hot inputs so the counted clip sites see traffic too.
+    for (std::size_t v = f; v < code.n(); v += 5) pool.back()[v] *= 20.0F;
+    refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
+  }
+  ASSERT_GT(refs[0].saturation.q_clips + refs[0].saturation.p_clips, 0);
+
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    SimdBatchDecoder batched(code, opt, fmt, tier);
+    ASSERT_FALSE(batched.scalar_only()) << simd::to_string(tier);
+    expect_block_identical(batched, pool, refs, pool.size(),
+                           std::string("z=4800 tier=") + simd::to_string(tier));
+  }
+}
+
 // ------------------------------------------------- kernel configurations ----
 
 TEST(SimdBatch, NarrowQ6Format) {
