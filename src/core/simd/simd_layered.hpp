@@ -23,7 +23,7 @@
 // the updated posteriors rotate back on scatter. Padding lanes hold zeros
 // on entry and provably produce no saturation or message traffic.
 //
-// Exactness envelope: configurations outside the policy's lane envelope
+// Exactness envelope: configurations outside the lane envelope
 // (int16 formats wider than 15 bits or offsets beyond int16; int8 layer
 // degrees >= 128), decodes with an active fault injector (whose corruption
 // sequence is defined by scalar access order) and out-of-rail quantized

@@ -71,7 +71,7 @@ FaMessages::FaMessages(const FaTableSet& ts, std::optional<SimdTier> t)
       it.thr[k] = table.thr[k];
       // Deltas are nonnegative (recon is nondecreasing) and every prefix
       // sum recon0 + delta[0..k] = recon[k+1] <= 127: the kernel's
-      // wrapping add8 staircase cannot overflow.
+      // wrapping-add staircase cannot overflow.
       it.delta[k] =
           static_cast<std::int8_t>(table.recon[k + 1] - table.recon[k]);
     }
