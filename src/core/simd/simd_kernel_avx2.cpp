@@ -12,16 +12,16 @@
 namespace ldpc::simd {
 namespace {
 
-/// What both element types share: the 256-bit register and bitwise ops.
-template <class T>
-struct Avx2Common {
-  using Elem = T;
+/// What both element types share: the 256-bit register, unaligned
+/// load/store and the lane-agnostic select and bitwise ops.
+struct Avx2Bits {
   using Vec = __m256i;
-  static constexpr int kLanes = 32 / sizeof(T);
 
+  template <class T>
   static Vec load(const T* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
+  template <class T>
   static void store(T* p, Vec a) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
   }
@@ -40,7 +40,10 @@ template <class T>
 struct Avx2Ops;
 
 template <>
-struct Avx2Ops<std::int16_t> : Avx2Common<std::int16_t> {
+struct Avx2Ops<std::int16_t> : Avx2Bits {
+  using Elem = std::int16_t;
+  static constexpr int kLanes = 16;
+
   static Vec broadcast(std::int16_t x) { return _mm256_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm256_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm256_sub_epi16(a, b); }
@@ -64,7 +67,10 @@ struct Avx2Ops<std::int16_t> : Avx2Common<std::int16_t> {
 };
 
 template <>
-struct Avx2Ops<std::int8_t> : Avx2Common<std::int8_t> {
+struct Avx2Ops<std::int8_t> : Avx2Bits {
+  using Elem = std::int8_t;
+  static constexpr int kLanes = 32;
+
   static Vec broadcast(std::int8_t x) {
     return _mm256_set1_epi8(static_cast<char>(x));
   }

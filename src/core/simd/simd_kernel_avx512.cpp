@@ -21,16 +21,16 @@
 namespace ldpc::simd {
 namespace {
 
-/// What both element types share: the 512-bit register and bitwise ops.
-template <class T>
-struct Avx512Common {
-  using Elem = T;
+/// What both element types share: the 512-bit register, unaligned
+/// load/store and the lane-agnostic select and bitwise ops.
+struct Avx512Bits {
   using Vec = __m512i;
-  static constexpr int kLanes = 64 / sizeof(T);
 
+  template <class T>
   static Vec load(const T* p) {
     return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
   }
+  template <class T>
   static void store(T* p, Vec a) {
     _mm512_storeu_si512(reinterpret_cast<void*>(p), a);
   }
@@ -49,7 +49,10 @@ template <class T>
 struct Avx512Ops;
 
 template <>
-struct Avx512Ops<std::int16_t> : Avx512Common<std::int16_t> {
+struct Avx512Ops<std::int16_t> : Avx512Bits {
+  using Elem = std::int16_t;
+  static constexpr int kLanes = 32;
+
   static Vec broadcast(std::int16_t x) { return _mm512_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm512_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm512_sub_epi16(a, b); }
@@ -77,7 +80,10 @@ struct Avx512Ops<std::int16_t> : Avx512Common<std::int16_t> {
 };
 
 template <>
-struct Avx512Ops<std::int8_t> : Avx512Common<std::int8_t> {
+struct Avx512Ops<std::int8_t> : Avx512Bits {
+  using Elem = std::int8_t;
+  static constexpr int kLanes = 64;
+
   static Vec broadcast(std::int8_t x) {
     return _mm512_set1_epi8(static_cast<char>(x));
   }

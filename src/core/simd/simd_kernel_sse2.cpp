@@ -12,16 +12,16 @@
 namespace ldpc::simd {
 namespace {
 
-/// What both element types share: the 128-bit register and bitwise ops.
-template <class T>
-struct Sse2Common {
-  using Elem = T;
+/// What both element types share: the 128-bit register, unaligned
+/// load/store and the lane-agnostic select and bitwise ops.
+struct Sse2Bits {
   using Vec = __m128i;
-  static constexpr int kLanes = 16 / sizeof(T);
 
+  template <class T>
   static Vec load(const T* p) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
+  template <class T>
   static void store(T* p, Vec a) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a);
   }
@@ -38,7 +38,10 @@ template <class T>
 struct Sse2Ops;
 
 template <>
-struct Sse2Ops<std::int16_t> : Sse2Common<std::int16_t> {
+struct Sse2Ops<std::int16_t> : Sse2Bits {
+  using Elem = std::int16_t;
+  static constexpr int kLanes = 8;
+
   static Vec broadcast(std::int16_t x) { return _mm_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm_sub_epi16(a, b); }
@@ -65,7 +68,10 @@ struct Sse2Ops<std::int16_t> : Sse2Common<std::int16_t> {
 /// min/max are cmpgt+select and abs is max(v, 0 - v) — exact for v >= -127,
 /// which the symmetric rail guarantees.
 template <>
-struct Sse2Ops<std::int8_t> : Sse2Common<std::int8_t> {
+struct Sse2Ops<std::int8_t> : Sse2Bits {
+  using Elem = std::int8_t;
+  static constexpr int kLanes = 16;
+
   static Vec broadcast(std::int8_t x) {
     return _mm_set1_epi8(static_cast<char>(x));
   }

@@ -13,10 +13,7 @@
 //     LLRs (NaN, infinities, ties, rail-hot values) in both shapes;
 //   * the z-lane quantized entry point routes out-of-rail codes to the
 //     scalar twin (kOutOfRailInput) and matches the scalar decode;
-//   * z-lane observer snapshots match the scalar decoder's;
-//   * a degree-1 layer (R' forced to 0, degenerate-check accounting) on
-//     a z below every lane width matches the scalar decoder in both
-//     shapes, counted clips included.
+//   * z-lane observer snapshots match the scalar decoder's.
 //
 // scripts/check.sh also runs this suite on the scalar-only
 // (LDPC_SIMD=OFF) build.
