@@ -2,27 +2,21 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.hpp"
 #include "util/check.hpp"
 
 namespace ldpc {
 
-// The z-lane twin carries the whole validation chain (it embeds the scalar
-// decoder, which checks the message format and the iteration budget) and
-// serves as the exact per-frame fallback; its message policy — format,
-// tier, kernels, finite-alphabet tables — is the batched one too.
+// The z-lane base validates the configuration (through its scalar
+// reference, which also builds the MIM tables) and owns the one message
+// policy both shapes use.
 template <class P>
 SimdBatchDriver<P>::SimdBatchDriver(const QCLdpcCode& code,
                                     DecoderOptions options,
                                     FixedFormat format,
                                     std::optional<simd::SimdTier> tier)
   requires std::same_as<P, simd::Q16Messages>
-    : code_(code),
-      options_(options),
-      single_(std::make_unique<SimdZLaneDriver<P>>(code, options, format,
-                                                   tier)),
-      msg_(single_->msg_) {
-  init_geometry();
+    : SimdZLaneDriver<P>(code, options, format, tier) {
+  init_block_geometry();
 }
 
 template <class P>
@@ -31,19 +25,14 @@ SimdBatchDriver<P>::SimdBatchDriver(const QCLdpcCode& code,
                                     float design_ebn0_db,
                                     std::optional<simd::SimdTier> tier)
   requires std::same_as<P, simd::FaMessages>
-    : code_(code),
-      options_(options),
-      single_(std::make_unique<SimdZLaneDriver<P>>(code, options, msg_bits,
-                                                   design_ebn0_db, tier)),
-      msg_(single_->msg_) {
-  init_geometry();
+    : SimdZLaneDriver<P>(code, options, msg_bits, design_ebn0_db, tier) {
+  init_block_geometry();
 }
 
 template <class P>
-void SimdBatchDriver<P>::init_geometry() {
+void SimdBatchDriver<P>::init_block_geometry() {
   lanes_ = P::lanes(msg_.tier);
   msg_.bind_lanes(lanes_);
-  z_ = static_cast<std::uint32_t>(code_.z());
   layers_.reserve(code_.layers().size());
   for (const auto& layer : code_.layers()) {
     std::vector<simd::BatchBlock> blocks;
@@ -54,11 +43,11 @@ void SimdBatchDriver<P>::init_geometry() {
   }
   std::size_t max_deg = 0;
   for (const auto& layer : layers_) max_deg = std::max(max_deg, layer.size());
-  r_rows_ = code_.base().nonzero_blocks() * static_cast<std::size_t>(z_);
+  const std::size_t r_rows = code_.base().nonzero_blocks() * z_;
   // kBatchPrefetchPad rows of slack so the kernels' look-ahead prefetches
   // stay inside the allocations.
   p_.resize((code_.n() + simd::kBatchPrefetchPad) * lanes_);
-  r_.resize((r_rows_ + simd::kBatchPrefetchPad) * lanes_);
+  r_.resize((r_rows + simd::kBatchPrefetchPad) * lanes_);
   q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
   active_.assign(lanes_, Elem{0});
   r_keep_.assign(lanes_, Elem{-1});
@@ -72,19 +61,6 @@ void SimdBatchDriver<P>::init_geometry() {
 }
 
 template <class P>
-void SimdBatchDriver<P>::set_cancel_token(const CancelToken* token) {
-  cancel_ = token;
-  single_->set_cancel_token(token);
-}
-
-template <class P>
-DecodeResult SimdBatchDriver<P>::decode(std::span<const float> llr) {
-  DecodeResult result = single_->decode(llr);
-  last_saturation_ = single_->saturation();
-  return result;
-}
-
-template <class P>
 void SimdBatchDriver<P>::decode_block(std::span<const BlockFrame> frames,
                                       std::span<DecodeResult> results,
                                       std::span<SaturationStats> saturation) {
@@ -92,39 +68,24 @@ void SimdBatchDriver<P>::decode_block(std::span<const BlockFrame> frames,
   LDPC_CHECK(saturation.size() == frames.size());
   for (const BlockFrame& f : frames) LDPC_CHECK(f.llr.size() == code_.n());
 
-  SimdFallback reason = SimdFallback::kNone;
-  if (single_->scalar_only()) {
-    reason = SimdFallback::kWideFormat;
-  } else if (options_.fault_injector && options_.fault_injector->enabled()) {
-    // Fault-campaign corruption order is defined by scalar access order.
-    reason = SimdFallback::kFaultInjector;
-  } else if (options_.observer) {
-    // The observer contract is one snapshot per iteration of one frame;
-    // interleaved lanes have no meaningful single-frame cadence.
+  SimdFallback reason = this->config_fallback();
+  // The observer contract is one snapshot per iteration of one frame;
+  // interleaved lanes have no meaningful single-frame cadence.
+  if (reason == SimdFallback::kNone && options_.observer)
     reason = SimdFallback::kObserver;
-  }
   if (reason != SimdFallback::kNone) {
-    decode_block_fallback(frames, results, saturation, reason);
+    // Per-frame decodes on the inherited z-lane path. A frame that also
+    // bypassed the z-lane kernel already carries the same reason; stamp
+    // why batching was off on the rest.
+    Decoder::decode_block(frames, results, saturation);
+    for (DecodeResult& result : results)
+      if (result.simd_fallback == SimdFallback::kNone)
+        result.simd_fallback = reason;
     return;
   }
   run_block(frames, results, saturation);
-}
-
-template <class P>
-void SimdBatchDriver<P>::decode_block_fallback(
-    std::span<const BlockFrame> frames, std::span<DecodeResult> results,
-    std::span<SaturationStats> saturation, SimdFallback reason) {
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    single_->set_cancel_token(frames[i].cancel);
-    results[i] = single_->decode(frames[i].llr);
-    saturation[i] = single_->saturation();
-    // The twin stamps its own, more specific reason when *it* also had to
-    // bypass its lane kernel; otherwise record why batching was off.
-    if (results[i].simd_fallback == SimdFallback::kNone)
-      results[i].simd_fallback = reason;
-  }
-  single_->set_cancel_token(cancel_);
-  if (!frames.empty()) last_saturation_ = saturation.back();
+  // The per-frame tokens replaced any attached one for the block.
+  this->set_cancel_token(nullptr);
 }
 
 template <class P>
@@ -136,6 +97,10 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
   std::size_t next = 0;  // next pending frame to claim a lane
   std::size_t done = 0;
   std::uint32_t live = 0;  // lanes currently carrying a frame
+  // Every frame runs the batched kernel; saturation() reports the stats of
+  // the last frame to retire.
+  last_used_scalar_ = false;
+  last_fallback_ = SimdFallback::kNone;
 
   simd::SimdBatchLayerPass<Elem> pass;
   pass.p = p_.data();
@@ -235,7 +200,7 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
     sat.p_clips = p_clips_[f];
     sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
     sat.degenerate_checks = degenerate_[f];
-    last_saturation_ = sat;
+    saturation_ = sat;
     lane.frame = kIdleLane;
     lane.cancel = nullptr;
     active_[f] = 0;

@@ -1,5 +1,5 @@
 // Inter-frame-batched SIMD layered min-sum driver, one template over the
-// two message policies of simd_messages.hpp:
+// two message policies of simd_messages.hpp, extending the z-lane driver:
 //
 //   SimdBatchDecoder    int16 q-format scaled min-sum, F = tier_lanes frames
 //                       per block (AVX-512: 32)
@@ -32,22 +32,20 @@
 // Per-frame results are bit-identical to the scalar reference — hard bits,
 // iteration counts, status, per-site SaturationStats — asserted in
 // tests/simd_batch_test.cpp and tests/simd_fa_equivalence_test.cpp across
-// tiers, z values and block sizes. Configurations outside the lane envelope
-// (the z-lane twin's), fault campaigns and per-iteration observers fall back
-// to per-frame decodes on the embedded z-lane twin, with the reason
-// recorded in DecodeResult::simd_fallback.
+// tiers, z values and block sizes. Blocks outside the lane envelope, fault
+// campaigns and per-iteration observers decode frame by frame on the
+// inherited z-lane path — one hop from the scalar reference — with the
+// reason recorded in DecodeResult::simd_fallback.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "codes/qc_code.hpp"
 #include "core/decoder.hpp"
-#include "core/fa_tables.hpp"
 #include "core/quant.hpp"
 #include "core/simd/simd_kernel.hpp"
 #include "core/simd/simd_layered.hpp"
@@ -57,7 +55,7 @@
 namespace ldpc {
 
 template <class P>
-class SimdBatchDriver final : public Decoder {
+class SimdBatchDriver : public SimdZLaneDriver<P> {
  public:
   using Elem = typename P::Elem;
 
@@ -71,48 +69,36 @@ class SimdBatchDriver final : public Decoder {
     requires std::same_as<P, simd::Q16Messages>;
 
   /// int8 finite alphabet: `msg_bits` in {2, 3, 4}; the MIM tables are
-  /// built once, by the z-lane twin's embedded scalar decoder.
+  /// built once, by the scalar reference.
   SimdBatchDriver(const QCLdpcCode& code, DecoderOptions options,
                   int msg_bits, float design_ebn0_db = 2.0F,
                   std::optional<simd::SimdTier> tier = std::nullopt)
     requires std::same_as<P, simd::FaMessages>;
 
-  /// Single-frame decode rides the embedded z-lane twin — with one frame
-  /// there is nothing to batch, and the z-lane kernel is the faster shape.
-  DecodeResult decode(std::span<const float> llr) override;
+  // Single-frame decode() is the inherited z-lane path: with one frame
+  // there is nothing to batch, and the z-lane kernel is the faster shape.
 
   void decode_block(std::span<const BlockFrame> frames,
                     std::span<DecodeResult> results,
                     std::span<SaturationStats> saturation) override;
 
-  std::size_t n() const override { return code_.n(); }
-  std::size_t k() const override { return code_.k(); }
   std::string name() const override {
     return "layered-minsum-simd-batched-" + msg_.name();
   }
-  std::string message_format() const override { return msg_.name(); }
-  SaturationStats saturation() const override { return last_saturation_; }
-  void set_cancel_token(const CancelToken* token) override;
 
   /// Frames per full block = the tier's lane count for the element type.
   std::size_t block_width() const override { return lanes_; }
 
-  simd::SimdTier tier() const { return msg_.tier; }
-  /// Posterior grid (int8: q8.2; messages are `tables().msg_bits` wide).
-  FixedFormat format() const { return msg_.format; }
-
-  /// The finite-alphabet MIM tables (owned by the z-lane twin).
-  const FaTableSet& tables() const
-    requires std::same_as<P, simd::FaMessages>
-  {
-    return *msg_.tables;
-  }
-
-  /// True when the configuration can never use the batched kernel and
-  /// every block decodes per-frame on the z-lane twin.
-  bool scalar_only() const { return single_->scalar_only(); }
-
  private:
+  using Base = SimdZLaneDriver<P>;
+  using Base::code_;
+  using Base::last_fallback_;
+  using Base::last_used_scalar_;
+  using Base::msg_;
+  using Base::options_;
+  using Base::saturation_;
+  using Base::z_;
+
   static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
 
   /// Per-lane decode-in-flight state; `frame` indexes into the current
@@ -124,29 +110,16 @@ class SimdBatchDriver final : public Decoder {
     const CancelToken* cancel = nullptr;
   };
 
-  void init_geometry();
-  void decode_block_fallback(std::span<const BlockFrame> frames,
-                             std::span<DecodeResult> results,
-                             std::span<SaturationStats> saturation,
-                             SimdFallback reason);
+  void init_block_geometry();
   void run_block(std::span<const BlockFrame> frames,
                  std::span<DecodeResult> results,
                  std::span<SaturationStats> saturation);
 
-  const QCLdpcCode& code_;
-  DecoderOptions options_;
-  /// z-lane twin: single-frame decode path, construction-time validation
-  /// (and the MIM tables), and the exact per-frame fallback for
-  /// out-of-envelope configurations. Declared before msg_, copied from it.
-  std::unique_ptr<SimdZLaneDriver<P>> single_;
-  P msg_;
   std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
-  std::uint32_t z_ = 0;
-  std::size_t r_rows_ = 0;  ///< nonzero_blocks * z rows of R memory
 
   std::vector<std::vector<simd::BatchBlock>> layers_;
   AlignedVec<Elem> p_;       ///< n rows * F lanes posteriors
-  AlignedVec<Elem> r_;       ///< r_rows_ * F check messages
+  AlignedVec<Elem> r_;       ///< nonzero_blocks * z rows * F check messages
   AlignedVec<Elem> q_;       ///< max_deg * F row scratch
   AlignedVec<Elem> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<Elem> r_keep_;  ///< F lane mask (0 = first iteration, R reads
@@ -160,9 +133,6 @@ class SimdBatchDriver final : public Decoder {
   std::vector<long long> p_clips_;
   std::vector<long long> degenerate_;  ///< per-lane degenerate checks
   std::vector<std::int32_t> weight_;   ///< per-lane syndrome weights
-
-  const CancelToken* cancel_ = nullptr;  ///< single-frame path only
-  SaturationStats last_saturation_;
 };
 
 using SimdBatchDecoder = SimdBatchDriver<simd::Q16Messages>;

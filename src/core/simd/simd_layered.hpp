@@ -30,6 +30,8 @@
 // inputs transparently delegate to an embedded scalar twin — behaviour,
 // results, and stats stay identical, only the speed differs, and the
 // bypass reason is recorded in DecodeResult::simd_fallback.
+// The batched driver (simd_batch.hpp) subclasses this one, so the scalar
+// twin is the only decoder nested inside either shape.
 #pragma once
 
 #include <concepts>
@@ -50,10 +52,7 @@
 namespace ldpc {
 
 template <class P>
-class SimdBatchDriver;
-
-template <class P>
-class SimdZLaneDriver final : public Decoder {
+class SimdZLaneDriver : public Decoder {
  public:
   using Elem = typename P::Elem;
 
@@ -118,20 +117,9 @@ class SimdZLaneDriver final : public Decoder {
   /// vector path ran) — the same value stamped into its DecodeResult.
   SimdFallback last_fallback() const { return last_fallback_; }
 
- private:
-  friend class SimdBatchDriver<P>;
-
-  struct GatherBlock {
-    std::uint32_t p_base;  ///< block_col * z into the posterior array
-    std::uint32_t shift;   ///< circulant rotation, already reduced mod z
-  };
-
-  void init_geometry();
+ protected:  // read by the batched subclass (simd_batch.hpp)
   /// Why this configuration cannot use the lane kernel (kNone: it can).
   SimdFallback config_fallback() const;
-  /// Stamp a scalar-twin result with the reason the lane kernel was skipped.
-  DecodeResult on_scalar(DecodeResult result, SimdFallback reason);
-  DecodeResult run();
 
   const QCLdpcCode& code_;
   DecoderOptions options_;
@@ -140,10 +128,27 @@ class SimdZLaneDriver final : public Decoder {
   /// Declared before msg_, which may read it during construction.
   std::unique_ptr<typename P::Scalar> scalar_;
   P msg_;
+  std::uint32_t z_ = 0;
+  /// Stats of the most recent vector-path decode (saturation() reports
+  /// the scalar twin's instead when that decode fell back).
+  SaturationStats saturation_;
+  bool last_used_scalar_ = false;
+  SimdFallback last_fallback_ = SimdFallback::kNone;
+
+ private:
+  struct GatherBlock {
+    std::uint32_t p_base;  ///< block_col * z into the posterior array
+    std::uint32_t shift;   ///< circulant rotation, already reduced mod z
+  };
+
+  void init_geometry();
+  /// Stamp a scalar-twin result with the reason the lane kernel was skipped.
+  DecodeResult on_scalar(DecodeResult result, SimdFallback reason);
+  DecodeResult run();
+
   std::string label_;  ///< empty: derived from the message format
   const CancelToken* cancel_ = nullptr;  ///< non-owning, may be null
 
-  std::uint32_t z_ = 0;
   std::uint32_t z_pad_ = 0;  ///< z rounded up to max(16, tier lane count)
   std::vector<std::vector<GatherBlock>> gather_;     ///< per layer
   std::vector<std::vector<std::uint32_t>> r_base_;   ///< per layer, kernel view
@@ -153,9 +158,6 @@ class SimdZLaneDriver final : public Decoder {
   AlignedVec<Elem> q_scratch_;  ///< Q_array lanes, deg * z_pad
 
   bool force_scalar_ = false;
-  bool last_used_scalar_ = false;
-  SimdFallback last_fallback_ = SimdFallback::kNone;
-  SaturationStats saturation_;
 };
 
 using SimdLayeredDecoder = SimdZLaneDriver<simd::Q16Messages>;

@@ -182,6 +182,48 @@ TYPED_TEST(SimdFamily, CancelledFrameInBlockLeavesLaneMatesIntact) {
   }
 }
 
+TYPED_TEST(SimdFamily, DecodeBlockDetachesAttachedCancelToken) {
+  // Decoder::decode_block contract: the per-frame tokens replace a token
+  // attached with set_cancel_token, and it is detached on return — on the
+  // batched vector path and on the per-frame observer fallback alike — so
+  // a later single-frame decode runs to completion.
+  const auto code = make_wifi_648_half_rate();
+  const auto llr = noisy_llr(code, 2.0F, 57);
+  const auto scalar = TypeParam::scalar(code, counting_options());
+  const DecodeResult ref = scalar->decode(llr);
+  const SaturationStats ref_sat = scalar->saturation();
+  // A decode cancelled before layer 0 stops at iteration 1: the reference
+  // must need more, or a still-attached token would go unnoticed.
+  ASSERT_GT(ref.iterations, 1U);
+
+  CancelToken cancelled;
+  cancelled.cancel();
+  for (const bool observer : {false, true}) {
+    DecoderOptions opt = counting_options();
+    if (observer) opt.observer = [](const IterationSnapshot&) {};
+    for (const simd::SimdTier tier : simd::available_tiers()) {
+      const std::string ctx = std::string("tier=") + simd::to_string(tier) +
+                              (observer ? " observer" : " vector");
+      const auto batched = TypeParam::batched(code, opt, tier);
+      batched->set_cancel_token(&cancelled);
+      const BlockFrame frame{llr, nullptr};
+      DecodeResult block_result;
+      SaturationStats block_sat;
+      batched->decode_block(std::span<const BlockFrame>(&frame, 1),
+                            std::span<DecodeResult>(&block_result, 1),
+                            std::span<SaturationStats>(&block_sat, 1));
+      EXPECT_EQ(block_result.simd_fallback,
+                observer ? SimdFallback::kObserver : SimdFallback::kNone)
+          << ctx;
+      expect_same_decode(ref, ref_sat, block_result, block_sat,
+                         ctx + " decode_block");
+      const DecodeResult after = batched->decode(llr);
+      expect_same_decode(ref, ref_sat, after, batched->saturation(),
+                         ctx + " decode");
+    }
+  }
+}
+
 // ------------------------------------------------------------ fallbacks ----
 
 TYPED_TEST(SimdFamily, BatchedFaultCampaignFallsBackPerFrame) {
