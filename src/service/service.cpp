@@ -17,6 +17,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/decoder_factory.hpp"
 #include "util/check.hpp"
 
 namespace ldpc::service {
@@ -157,8 +158,7 @@ DecodeService::DecodeService(ServiceConfig config)
   admission_ = AdmissionController(config_.default_tenant);
   for (const auto& [id, tenant_config] : config_.tenants)
     admission_.configure_tenant(id, tenant_config);
-  codecs_ = std::make_unique<CodecCache>(config_.decoder_name,
-                                         config_.decoder_options);
+  codecs_ = std::make_unique<CodecCache>();
 }
 
 DecodeService::~DecodeService() {
