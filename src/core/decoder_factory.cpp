@@ -70,22 +70,19 @@ constexpr Entry kDecoders[] = {
     {"layered-minsum-simd", &make<SimdLayeredDecoder, kQ8>},
     {"layered-minsum-simd-q6", &make<SimdLayeredDecoder, kQ6>},
     {"layered-minsum-simd-offset", &make_offset_simd},
-    // Inter-frame-batched SIMD decoders: frame per lane instead of check row
-    // per lane, so every lane is full for any z. The batch engine detects
-    // block_width() > 1 and hands these decoders whole frame-blocks.
+    // Inter-frame-batched SIMD decoder: frame per lane instead of check row
+    // per lane, so every lane is full for any z. Callers size the batch
+    // engine's frame blocks (BatchEngineConfig::block_frames) from
+    // block_width() to hand it whole lane-blocks.
     {"layered-minsum-simd-batched", &make<SimdBatchDecoder, kQ8>},
-    {"layered-minsum-simd-batched-q6", &make<SimdBatchDecoder, kQ6>},
     // Finite-alphabet family (fa2/fa3/fa4): 2-4-bit check messages via MIM
-    // staircase tables on an int8 posterior, scalar reference plus the int8
-    // SIMD z-lane and inter-frame-batched twins. See core/fa_tables.hpp.
+    // staircase tables on an int8 posterior. Scalar references for all
+    // three; the int8 SIMD z-lane and inter-frame-batched shapes for fa4.
+    // See core/fa_tables.hpp.
     {"layered-minsum-fa2", &make<LayeredMinSumFaDecoder, 2>},
     {"layered-minsum-fa3", &make<LayeredMinSumFaDecoder, 3>},
     {"layered-minsum-fa4", &make<LayeredMinSumFaDecoder, 4>},
-    {"layered-minsum-simd-fa2", &make<SimdFaLayeredDecoder, 2>},
-    {"layered-minsum-simd-fa3", &make<SimdFaLayeredDecoder, 3>},
     {"layered-minsum-simd-fa4", &make<SimdFaLayeredDecoder, 4>},
-    {"layered-minsum-simd-batched-fa2", &make<SimdFaBatchDecoder, 2>},
-    {"layered-minsum-simd-batched-fa3", &make<SimdFaBatchDecoder, 3>},
     {"layered-minsum-simd-batched-fa4", &make<SimdFaBatchDecoder, 4>},
 };
 

@@ -18,18 +18,19 @@ namespace ldpc {
 /// per-call message memory, so each thread needs its own).
 using DecoderFactory = std::function<std::unique_ptr<Decoder>()>;
 
-/// Recognised names (decoder_names() lists all 24 in order):
+/// Recognised names (decoder_names() lists all 19 in order):
 ///   flooding-bp, flooding-minsum{,-norm,-offset,-scms}   flooding schedule
 ///   gallager-b                                   hard-decision bit flipping
 ///   layered-minsum-float
 ///   layered-minsum-{fixed,q6,offset-fixed}       scalar q8.2 / q6.1 / offset
 ///   layered-minsum-simd{,-q6,-offset}            bit-identical SIMD z-lane
 ///                                                twins of the three above
-///   layered-minsum-simd-batched{,-q6}            inter-frame-batched SIMD
-///   layered-minsum-{,simd-,simd-batched-}fa{2,3,4}
-///                                                finite alphabet: scalar,
-///                                                z-lane, batched (see
-///                                                core/fa_tables.hpp)
+///   layered-minsum-simd-batched                  inter-frame-batched SIMD
+///                                                q8.2
+///   layered-minsum-fa{2,3,4}                     finite alphabet, scalar
+///                                                (see core/fa_tables.hpp)
+///   layered-minsum-simd{,-batched}-fa4           its z-lane and batched
+///                                                SIMD twins
 /// Throws ldpc::Error for unknown names (the message lists every known
 /// name). The returned decoder borrows `code`;
 /// the caller must keep the code alive for the decoder's lifetime.
