@@ -9,7 +9,9 @@
 #                        the SIMD equivalence suites (z-lane *and* the
 #                        inter-frame-batched fused path), proving the
 #                        portable tier alone still matches the scalar
-#                        decoder bit-for-bit
+#                        decoder bit-for-bit, and the factory suite, so
+#                        every decoder name constructs and decodes on the
+#                        portable tier alone
 #   3. sanitizer pass  — ASan+UBSan build (LDPC_SANITIZE=ON) + ctest; the
 #                        SIMD kernels are ON here so the intrinsic paths run
 #                        under instrumentation too
@@ -86,13 +88,13 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure --timeout "$TEST_TIMEOUT"
 python3 -m unittest discover -s perfbench/tests
 
-echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence =="
+echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence + factory =="
 cmake -B build-nosimd -S . -DLDPC_SIMD=OFF -DLDPC_WERROR=ON
 cmake --build build-nosimd -j "$JOBS" \
   --target simd_equivalence_test simd_batch_test simd_fa_equivalence_test \
-           simd_family_test fa_test
+           simd_family_test fa_test factory_test
 ctest --test-dir build-nosimd --output-on-failure --timeout "$TEST_TIMEOUT" \
-  -R 'SimdEquivalence|SimdBatch|SimdFaEquivalence|SimdFamily|FaTables|FaDecoder'
+  -R 'SimdEquivalence|SimdBatch|SimdFaEquivalence|SimdFamily|FaTables|FaDecoder|DecoderFactory'
 
 if [ "$FAST" -eq 0 ]; then
   echo "== [3/13] ASan + UBSan =="
