@@ -117,7 +117,7 @@ class SimdZLaneDriver : public Decoder {
   /// vector path ran) — the same value stamped into its DecodeResult.
   SimdFallback last_fallback() const { return last_fallback_; }
 
- protected:  // read by the batched subclass (simd_batch.hpp)
+ protected:  // shared with the batched subclass (simd_batch.hpp)
   /// Why this configuration cannot use the lane kernel (kNone: it can).
   SimdFallback config_fallback() const;
 
