@@ -51,7 +51,11 @@ void SimdBatchDriver<P>::init_block_geometry() {
   q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
   active_.assign(lanes_, Elem{0});
   r_keep_.assign(lanes_, Elem{-1});
-  stage_.resize(code_.n());
+  const std::size_t words = (code_.n() + 63) / 64;
+  signs_.resize(words * 64);
+  words_.resize(words * lanes_);
+  loading_.reserve(lanes_);
+  retiring_.reserve(lanes_);
   lane_.assign(lanes_, Lane{});
   q_clips_.assign(lanes_, 0);
   r_clips_.assign(lanes_, 0);
@@ -122,97 +126,122 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
   const bool et = options_.early_termination;
   const bool wd = options_.watchdog.enabled();
 
-  const auto load_lane = [&](std::size_t f, std::size_t g) {
+  simd::SimdBatchDrainPass<Elem> drain_pass;
+  drain_pass.p = p_.data();
+  drain_pass.rows = static_cast<std::uint32_t>(n);
+  drain_pass.signs = signs_.data();
+  drain_pass.words = static_cast<std::uint32_t>((n + 63) / 64);
+  drain_pass.lanes = retiring_.data();
+  drain_pass.out = words_.data();
+
+  // Claim lane f for frame g; its posteriors are written by the next
+  // refill() together with every other lane claimed at this boundary.
+  const auto claim = [&](std::uint32_t f, std::size_t g) {
     Lane& lane = lane_[f];
     lane.frame = g;
     lane.iter = 0;
     lane.watchdog = WatchdogState(options_.watchdog);
     lane.cancel = frames[g].cancel;
-    SaturationStats& sat = saturation[g];
-    sat = SaturationStats{};
-    const std::span<const float> llr = frames[g].llr;
-    // Quantize straight into lane f's strided column. Every store owns a
-    // fresh cache line (stride = one line at AVX-512 width), so the walk is
-    // RFO-latency-bound without the look-ahead prefetch — the pad rows
-    // behind kBatchPrefetchPad keep the +16 in bounds. The lane's R column
-    // is NOT zero-filled — r_keep_ masks its reads for the frame's first
-    // iteration instead (see SimdBatchLayerPass::r_keep).
-    if (options_.count_saturation) {
-      for (std::size_t v = 0; v < n; ++v) {
-        __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
-        p_[v * lanes_ + f] = msg_.quantize(llr[v], sat.quantizer_clips);
-      }
-    } else {
-      // Uncounted path (the batch-throughput configuration): the policy's
-      // row quantizer fills a contiguous staging row, then a prefetched
-      // scatter spreads it across the lane-major stride. Both quantizers
-      // are bit-identical, so counted and uncounted frames land on the
-      // same codes.
-      msg_.quantize_row(llr.data(), stage_.data(), n);
-      for (std::size_t v = 0; v < n; ++v) {
-        __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
-        p_[v * lanes_ + f] = stage_[v];
-      }
-    }
+    saturation[g] = SaturationStats{};
     q_clips_[f] = 0;
     r_clips_[f] = 0;
     p_clips_[f] = 0;
     degenerate_[f] = 0;
     active_[f] = -1;
+    loading_.push_back(f);
     ++live;
   };
 
-  // Retire lane f, writing its frame's DecodeResult exactly as the scalar
+  // Quantize the claimed lanes' frames into their columns, kRefillRows
+  // variable rows at a time: per lane, the row slice goes through a small
+  // staging row and is scattered into the tile, whose rows stay L1-
+  // resident across the lanes — each posterior line is written once per
+  // refill, not once per loading frame. The counted quantizer shares the
+  // scatter; both quantizers give the same codes. The lanes' R columns
+  // are NOT zero-filled — r_keep_ masks their reads for the frames' first
+  // iteration instead (see SimdBatchLayerPass::r_keep).
+  const auto refill = [&] {
+    const std::size_t stride = lanes_;
+    for (std::size_t v0 = 0; v0 < n; v0 += kRefillRows) {
+      const std::size_t rows = std::min<std::size_t>(kRefillRows, n - v0);
+      Elem* const tile = p_.data() + v0 * stride;
+      for (const std::uint32_t f : loading_) {
+        const std::size_t g = lane_[f].frame;
+        const float* const llr = frames[g].llr.data() + v0;
+        Elem stage[kRefillRows];
+        if (options_.count_saturation) {
+          long long& clips = saturation[g].quantizer_clips;
+          for (std::size_t i = 0; i < rows; ++i)
+            stage[i] = msg_.quantize(llr[i], clips);
+        } else {
+          msg_.quantize_row(llr, stage, rows);
+        }
+        // Locals, not members: an int8 store may alias any object, so
+        // members read in the loop would be reloaded after every store.
+        Elem* col = tile + f;
+        for (std::size_t i = 0; i < rows; ++i, col += stride) *col = stage[i];
+      }
+    }
+    loading_.clear();
+  };
+
+  // Retire lane f: stop counting its clips and queue it for the boundary's
+  // drain, which writes its frame's DecodeResult exactly as the scalar
   // decoder's iteration tail + output parity recheck would have. When the
   // caller just ran the vectorized syndrome pass, lane f's parity is
   // already known (`parity_known` + `parity` = weight_[f] == 0) and the
   // scalar whole-code parity_ok walk is skipped; only cancellation mid-
   // iteration (stale weight_) and the no-probe configuration pay it.
-  const auto finalize = [&](std::size_t f, bool watchdog_fired,
-                            bool cancelled, bool parity_known, bool parity) {
-    Lane& lane = lane_[f];
-    const std::size_t g = lane.frame;
-    DecodeResult& res = results[g];
-    res.hard_bits.resize(n);
-    // Drain the lane's posterior signs 64 at a time: assembling a word
-    // locally keeps the strided loads independent (no per-bit RMW chain)
-    // and set_word skips BitVec's per-bit bounds checks; the prefetch hides
-    // the per-line L2 latency of the stride-one-line column walk.
-    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
-      const std::size_t base = w * 64;
-      const std::size_t limit = std::min<std::size_t>(64, n - base);
-      std::uint64_t bits = 0;
-      for (std::size_t b = 0; b < limit; ++b) {
-        __builtin_prefetch(&p_[(base + b + 16) * lanes_ + f], 0);
-        bits |= static_cast<std::uint64_t>(p_[(base + b) * lanes_ + f] < 0)
-                << b;
-      }
-      res.hard_bits.set_word(w, bits);
-    }
-    res.iterations = lane.iter;
-    res.converged = parity_known ? parity : code_.parity_ok(res.hard_bits);
-    res.status = classify_exit(res.converged, watchdog_fired, 0, cancelled);
-    res.faults_injected = 0;
-    res.simd_fallback = SimdFallback::kNone;
-    SaturationStats& sat = saturation[g];
-    sat.q_clips = q_clips_[f];
-    sat.r_clips = r_clips_[f];
-    sat.p_clips = p_clips_[f];
-    sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
-    sat.degenerate_checks = degenerate_[f];
-    saturation_ = sat;
-    lane.frame = kIdleLane;
-    lane.cancel = nullptr;
+  const auto retire = [&](std::uint32_t f, bool watchdog_fired, bool cancelled,
+                          bool parity_known, bool parity) {
+    lane_[f].exit = {watchdog_fired, cancelled, parity_known, parity};
     active_[f] = 0;
+    retiring_.push_back(f);
     --live;
-    ++done;
+  };
+
+  // Write the results of every lane retired at this boundary. One kernel
+  // sweep takes the posterior rows' sign masks and reads each retiring
+  // lane's hard-bit words out of them; it runs before the next layer pass
+  // overwrites the retired lanes.
+  const auto drain = [&] {
+    if (retiring_.empty()) return;
+    drain_pass.count = static_cast<std::uint32_t>(retiring_.size());
+    msg_.batch_drain(drain_pass);
+    for (std::size_t i = 0; i < retiring_.size(); ++i) {
+      const std::uint32_t f = retiring_[i];
+      Lane& lane = lane_[f];
+      DecodeResult& res = results[lane.frame];
+      res.hard_bits.resize(n);
+      for (std::uint32_t w = 0; w < drain_pass.words; ++w)
+        res.hard_bits.set_word(w, words_[i * drain_pass.words + w]);
+      res.iterations = lane.iter;
+      res.converged = lane.exit.parity_known ? lane.exit.parity
+                                             : code_.parity_ok(res.hard_bits);
+      res.status = classify_exit(res.converged, lane.exit.watchdog_fired, 0,
+                                 lane.exit.cancelled);
+      res.faults_injected = 0;
+      res.simd_fallback = SimdFallback::kNone;
+      SaturationStats& sat = saturation[lane.frame];
+      sat.q_clips = q_clips_[f];
+      sat.r_clips = r_clips_[f];
+      sat.p_clips = p_clips_[f];
+      sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
+      sat.degenerate_checks = degenerate_[f];
+      saturation_ = sat;
+      lane.frame = kIdleLane;
+      lane.cancel = nullptr;
+      ++done;
+    }
+    retiring_.clear();
   };
 
   while (done < count) {
     // Refill: idle lanes pick up pending frames mid-block, so lanes stay
     // full while their neighbours are still iterating.
     for (std::uint32_t f = 0; f < lanes_ && next < count; ++f)
-      if (lane_[f].frame == kIdleLane) load_lane(f, next++);
+      if (lane_[f].frame == kIdleLane) claim(f, next++);
+    refill();
 
     for (std::uint32_t f = 0; f < lanes_; ++f)
       if (lane_[f].frame != kIdleLane) {
@@ -231,8 +260,9 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
       for (std::uint32_t f = 0; f < lanes_; ++f) {
         const Lane& lane = lane_[f];
         if (lane.frame != kIdleLane && lane.cancel && lane.cancel->expired())
-          finalize(f, false, true, false, false);
+          retire(f, false, true, false, false);
       }
+      drain();
       if (live == 0) break;
       const auto& blocks = layers_[l];
       if (blocks.empty()) continue;
@@ -269,17 +299,18 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
       if (lane.frame == kIdleLane) continue;
       const bool parity = probed && weight_[f] == 0;
       if (et && parity) {
-        finalize(f, false, false, true, true);
+        retire(f, false, false, true, true);
         continue;
       }
       if (wd && lane.watchdog.should_abort(
                     static_cast<std::size_t>(weight_[f]))) {
-        finalize(f, true, false, probed, parity);
+        retire(f, true, false, probed, parity);
         continue;
       }
       if (lane.iter >= options_.max_iterations)
-        finalize(f, false, false, probed, parity);
+        retire(f, false, false, probed, parity);
     }
+    drain();
   }
 }
 

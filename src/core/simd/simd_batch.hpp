@@ -26,6 +26,10 @@
 // budget) the lane is refilled with the next pending frame *mid-block*, so
 // block throughput tracks the mean iteration count, not the max — a
 // lockstep batch would pay the slowest frame's iterations on every lane.
+// Lanes that retire at one iteration boundary are drained together (one
+// sweep of row sign masks), and lanes claimed at one boundary are loaded
+// together (one tiled quantize-and-scatter sweep), so the per-frame work
+// touches each posterior line once per boundary, not once per frame.
 // The finite-alphabet tables are per-iteration, so that policy keeps one
 // staircase column per lane and refreshes it as the lane's iteration moves.
 //
@@ -100,6 +104,19 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
   using Base::z_;
 
   static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
+  /// Variable rows per refill tile: kRefillRows * F lanes of posteriors
+  /// (8 KB at AVX-512 width) stay L1-resident while every lane claimed at
+  /// the boundary is scattered into them.
+  static constexpr std::size_t kRefillRows = 128;
+
+  /// Why a retiring lane stopped, kept until the boundary's drain writes
+  /// its DecodeResult.
+  struct Exit {
+    bool watchdog_fired = false;
+    bool cancelled = false;
+    bool parity_known = false;  ///< `parity` is this iteration's syndrome
+    bool parity = false;
+  };
 
   /// Per-lane decode-in-flight state; `frame` indexes into the current
   /// decode_block call's spans (kIdleLane when the lane holds no frame).
@@ -108,6 +125,7 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
     std::size_t iter = 0;
     WatchdogState watchdog{WatchdogOptions{}};
     const CancelToken* cancel = nullptr;
+    Exit exit;
   };
 
   void init_block_geometry();
@@ -124,9 +142,10 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
   AlignedVec<Elem> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<Elem> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                              ///< as 0 — see r_keep in SimdBatchLayerPass)
-  std::vector<Elem> stage_;  ///< n quantized codes staging row
-                             ///< (vector-quantized, then scattered into a
-                             ///< lane column at refill)
+  AlignedVec<std::uint64_t> signs_;   ///< per-row lane sign masks (drain)
+  AlignedVec<std::uint64_t> words_;   ///< retiring lanes' hard-bit words
+  std::vector<std::uint32_t> loading_;   ///< lanes claimed at this boundary
+  std::vector<std::uint32_t> retiring_;  ///< lanes retired at this boundary
   std::vector<Lane> lane_;
   std::vector<long long> q_clips_;     ///< per-lane clip accumulators
   std::vector<long long> r_clips_;     ///< (int8: structurally zero)

@@ -216,21 +216,46 @@ struct SimdBatchSyndromePass {
   std::int32_t* weight;        ///< F accumulators (+= per-lane unsat rows)
 };
 
-/// Vectorized channel quantizer for the finite-alphabet decoders: contiguous
-/// float LLRs -> contiguous int8 codes on the symmetric +-127 rail,
-/// bit-identical to scalar fa_quantize (uncounted). The pre-limit keeps
-/// |scaled| <= rail + 2 < 2^8, where every float ulp is 2^-16 or finer, so
-/// adding copysign(0.5, s) is exact in float and truncating the sum is
-/// exactly round-half-away — the double round of the scalar path is not
-/// needed. Frame setup is a measurable slice of batched decode time, hence
-/// a dispatched kernel rather than a loop the autovectorizer may miss.
-struct SimdFaQuantizePass {
-  const float* llr;   ///< n channel LLRs
-  std::int8_t* out;   ///< n codes, contiguous
+/// Hard-decision drain of the lanes that retire at one iteration boundary.
+/// One sweep over the posterior rows takes each row's lane sign mask (bit f
+/// set = lane f's posterior is negative, a LaneOps sign_mask) into `signs`;
+/// each retiring lane's hard-bit words are then read out of that mask
+/// array, which stays L1-resident, instead of walking the lane's strided
+/// column (one cache line per bit). Must run before the next layer pass,
+/// which overwrites the retired lanes with garbage.
+template <class T>
+struct SimdBatchDrainPass {
+  const T* p;                  ///< rows * F lanes posteriors
+  std::uint32_t rows;          ///< variable rows (n)
+  /// words * 64 masks of scratch; rows past `rows` are written as zero.
+  std::uint64_t* signs;
+  std::uint32_t words;         ///< hard-bit words per lane, ceil(rows / 64)
+  const std::uint32_t* lanes;  ///< the retiring lanes
+  std::uint32_t count;         ///< number of retiring lanes
+  std::uint64_t* out;          ///< count * words hard-bit words, lane-major
+};
+
+/// Vectorized channel quantizer of both message families: contiguous float
+/// LLRs -> contiguous int16 or int8 codes, bit-identical to the uncounted
+/// FixedFormat::quantize (int16) or fa_quantize (int8). The scale, the
+/// float pre-limit and the integer rails are pass parameters, so one kernel
+/// entry serves both. Rounding is truncate-then-compare-the-fraction:
+/// t = trunc(s), t += (s - t >= 0.5) - (s - t <= -0.5). s - t is exact in
+/// float (|s| < 1: t = 0; else s/2 <= t <= s, Sterbenz), so the tie test
+/// sees the exact fraction for every input. Adding copysign(0.5, s) and
+/// truncating is not exact: 0.5 - 2^-25 + 0.5 rounds to 1.0 in float.
+/// Frame setup is a measurable slice of batched decode time, hence a
+/// dispatched kernel rather than a loop the autovectorizer may miss.
+struct SimdQuantizePass {
+  const float* llr;     ///< n channel LLRs
   std::size_t n;
-  float fscale;       ///< 1 << posterior.frac_bits
-  float fhi;          ///< posterior.max_code() + 1 (pre-limit, not the rail)
-  float flo;          ///< posterior.min_code() - 1
+  std::int16_t* out16;  ///< n int16 codes, contiguous (or null)
+  std::int8_t* out8;    ///< n int8 codes, contiguous (null iff out16 set)
+  float fscale;         ///< 1 << frac_bits
+  float fhi;            ///< max_code() + 1 (pre-limit, not the rail)
+  float flo;            ///< min_code() - 1
+  std::int16_t hi;      ///< upper rail
+  std::int16_t lo;      ///< lower rail
 };
 
 template <class T>
@@ -239,7 +264,9 @@ template <class T>
 using BatchLayerPassFn = void (*)(const SimdBatchLayerPass<T>&);
 template <class T>
 using BatchSyndromePassFn = void (*)(const SimdBatchSyndromePass<T>&);
-using FaQuantizePassFn = void (*)(const SimdFaQuantizePass&);
+template <class T>
+using BatchDrainPassFn = void (*)(const SimdBatchDrainPass<T>&);
+using QuantizePassFn = void (*)(const SimdQuantizePass&);
 
 /// True when `tier` is both compiled in and supported by this CPU.
 bool tier_available(SimdTier tier);
@@ -248,16 +275,19 @@ bool tier_available(SimdTier tier);
 std::vector<SimdTier> available_tiers();
 
 /// Every kernel entry point of one tier: the int16 q-format kernels and
-/// the int8 finite-alphabet kernels, each in the z-lane and batched shape.
-/// The decoders' message policies (simd_messages.hpp) pick their entries.
+/// the int8 finite-alphabet kernels, each in the z-lane and batched shape,
+/// and the channel quantizer both families share. The decoders' message
+/// policies (simd_messages.hpp) pick their entries.
 struct Kernels {
   LayerPassFn<std::int16_t> layer_pass;
   BatchLayerPassFn<std::int16_t> batch_layer_pass;
   BatchSyndromePassFn<std::int16_t> batch_syndrome_pass;
+  BatchDrainPassFn<std::int16_t> batch_drain_pass;
   LayerPassFn<std::int8_t> fa_layer_pass;
   BatchLayerPassFn<std::int8_t> fa_batch_layer_pass;
   BatchSyndromePassFn<std::int8_t> fa_batch_syndrome_pass;
-  FaQuantizePassFn fa_quantize_pass;
+  BatchDrainPassFn<std::int8_t> fa_batch_drain_pass;
+  QuantizePassFn quantize_pass;
 };
 
 /// Kernel table of a specific tier; throws ldpc::Error if unavailable.

@@ -11,7 +11,8 @@
 // __mmask64 through vpmovm2w / vpmovm2b. blend() exploits the contract in
 // the other direction: because masks are all-ones per lane, a bitwise
 // ternary-logic select (0xCA = m ? a : b) replaces the mask-register blend
-// with no conversion at all.
+// with no conversion at all. sign_mask goes the same way in reverse:
+// vpmovw2m / vpmovb2m read the lane sign bits straight into a mask.
 #include "core/simd/simd_kernel_impl.hpp"
 
 #ifdef LDPC_SIMD_X86
@@ -43,6 +44,15 @@ struct Avx512Bits {
   static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+  static std::uint64_t lane_column(const std::uint64_t* m, unsigned f) {
+    // vptestmq: eight rows' bit f per instruction.
+    const __m512i bit = _mm512_set1_epi64(static_cast<long long>(1ULL << f));
+    std::uint64_t col = 0;
+    for (int i = 0; i < 8; ++i)
+      col |= std::uint64_t{_mm512_test_epi64_mask(load(m + 8 * i), bit)}
+             << (8 * i);
+    return col;
+  }
 };
 
 template <class T>
@@ -67,6 +77,7 @@ struct Avx512Ops<std::int16_t> : Avx512Bits {
     return _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b));
   }
   static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
+  static std::uint64_t sign_mask(Vec a) { return _mm512_movepi16_mask(a); }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm512_srli_epi16(a, kShift);
@@ -100,6 +111,7 @@ struct Avx512Ops<std::int8_t> : Avx512Bits {
     return _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(a, b));
   }
   static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
+  static std::uint64_t sign_mask(Vec a) { return _mm512_movepi8_mask(a); }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
     // One masked add replaces the generic cmpgt (vpcmpb + vpmovm2b),
     // vpand, vpaddb chain: s + ((mag > thr) ? delta : 0) in two
@@ -114,38 +126,47 @@ struct Avx512Ops<std::int8_t> : Avx512Bits {
 // (GCC PR 105593). The operands are dead — full-mask forms ignore them.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-void fa_quantize_pass(const SimdFaQuantizePass& pass) {
-  // 16 LLRs per step: one 16-wide float pipeline, clamp on int32, narrow
-  // with vpmovdb. Float bit-ops go through integer casts — _mm512_and_ps
-  // is AVX-512DQ, which this build does not assume (only F + BW).
+void quantize_pass(const SimdQuantizePass& pass) {
+  // 16 LLRs per step: one 16-wide float pipeline, the tie test on the exact
+  // fraction as two masked +-1 adds, clamp on int32, narrow with vpmovdw /
+  // vpmovdb.
   const __m512 vscale = _mm512_set1_ps(pass.fscale);
   const __m512 vhi = _mm512_set1_ps(pass.fhi);
   const __m512 vlo = _mm512_set1_ps(pass.flo);
-  const __m512i vhalf = _mm512_castps_si512(_mm512_set1_ps(0.5F));
-  const __m512i vsign = _mm512_castps_si512(_mm512_set1_ps(-0.0F));
-  const __m512i vrail = _mm512_set1_epi32(127);
-  const __m512i vnrail = _mm512_set1_epi32(-127);
-  std::size_t v = 0;
-  for (; v + 16 <= pass.n; v += 16) {
+  const __m512 vhalf = _mm512_set1_ps(0.5F);
+  const __m512 vnhalf = _mm512_set1_ps(-0.5F);
+  const __m512i vone = _mm512_set1_epi32(1);
+  const __m512i vrail = _mm512_set1_epi32(pass.hi);
+  const __m512i vnrail = _mm512_set1_epi32(pass.lo);
+  const auto codes = [&](std::size_t v) {
     __m512 s = _mm512_mul_ps(_mm512_loadu_ps(pass.llr + v), vscale);
-    const __mmask16 ord = _mm512_cmp_ps_mask(s, s, _CMP_ORD_Q);
-    s = _mm512_maskz_mov_ps(ord, s);  // NaN -> 0
-    s = _mm512_min_ps(_mm512_max_ps(s, vlo), vhi);
-    const __m512i si = _mm512_castps_si512(s);
-    const __m512 half = _mm512_castsi512_ps(
-        _mm512_or_si512(vhalf, _mm512_and_si512(si, vsign)));
-    __m512i t = _mm512_cvttps_epi32(_mm512_add_ps(s, half));
-    t = _mm512_max_epi32(_mm512_min_epi32(t, vrail), vnrail);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(pass.out + v),
-                     _mm512_cvtepi32_epi8(t));
+    s = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(s, s, _CMP_ORD_Q), s);
+    s = _mm512_min_ps(_mm512_max_ps(s, vlo), vhi);  // NaN -> 0 above
+    __m512i t = _mm512_cvttps_epi32(s);
+    const __m512 frac = _mm512_sub_ps(s, _mm512_cvtepi32_ps(t));
+    t = _mm512_mask_add_epi32(
+        t, _mm512_cmp_ps_mask(frac, vhalf, _CMP_GE_OQ), t, vone);
+    t = _mm512_mask_sub_epi32(
+        t, _mm512_cmp_ps_mask(frac, vnhalf, _CMP_LE_OQ), t, vone);
+    return _mm512_max_epi32(_mm512_min_epi32(t, vrail), vnrail);
+  };
+  std::size_t v = 0;
+  if (pass.out16) {
+    for (; v + 16 <= pass.n; v += 16)
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pass.out16 + v),
+                          _mm512_cvtepi32_epi16(codes(v)));
+  } else {
+    for (; v + 16 <= pass.n; v += 16)
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(pass.out8 + v),
+                       _mm512_cvtepi32_epi8(codes(v)));
   }
-  detail::fa_quantize_scalar(pass, v);
+  detail::quantize_scalar(pass, v);
 }
 #pragma GCC diagnostic pop
 
 constexpr Kernels kKernels =
     detail::make_kernels<Avx512Ops<std::int16_t>, Avx512Ops<std::int8_t>>(
-        &fa_quantize_pass);
+        &quantize_pass);
 
 }  // namespace
 

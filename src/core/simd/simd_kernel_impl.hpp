@@ -14,6 +14,9 @@
 //   blend(m, a, b)    m ? a : b, m a lane mask
 //   abs               |v| for v > Elem min
 //   xor_/or_/and_     bitwise
+//   sign_mask         bit f of the result set iff lane f is negative
+//   lane_column(m, f) bit b of the result = bit f of m[b], b < 64 (a
+//                     column of a 64-row mask array; element-agnostic)
 // int16 only (num/16 correction):
 //   srl<k>/sll<k>     logical shifts by compile-time k
 //   mullo/mulhi       low/high 16 bits of the 32-bit signed product
@@ -33,7 +36,8 @@
 // compile time, and the uncounted instances carry no clip code at all.
 #pragma once
 
-#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <type_traits>
 
@@ -41,21 +45,29 @@
 
 namespace ldpc::simd::detail {
 
-/// Scalar body of the FA channel quantizer, used by the portable tier and
-/// as the vector tiers' tail loop. Bit-identical to fa_quantize: the
-/// pre-limit keeps |s| <= rail + 2 < 2^8, where float ulp <= 2^-16, so
-/// s + copysign(0.5, s) is exact in float and its truncation is exactly
-/// round-half-away (the 127 below is kFaRail).
-inline void fa_quantize_scalar(const SimdFaQuantizePass& a, std::size_t v0) {
+/// Round-half-away of a pre-limited scaled LLR (|s| <= 2^15 + 1), exact
+/// for every float: truncate, then compare the exact fraction with +-0.5
+/// (see SimdQuantizePass).
+inline std::int32_t round_half_away(float s) {
+  const auto t = static_cast<std::int32_t>(s);
+  const float frac = s - static_cast<float>(t);
+  return t + (frac >= 0.5F ? 1 : 0) - (frac <= -0.5F ? 1 : 0);
+}
+
+/// Scalar body of the channel quantizer, used by the portable tier and as
+/// the vector tiers' tail loop.
+inline void quantize_scalar(const SimdQuantizePass& a, std::size_t v0) {
   for (std::size_t v = v0; v < a.n; ++v) {
     float s = a.llr[v] * a.fscale;
     s = s != s ? 0.0F : s;
     s = s > a.fhi ? a.fhi : s;
     s = s < a.flo ? a.flo : s;
-    const std::int32_t t =
-        static_cast<std::int32_t>(s + std::copysign(0.5F, s));
-    const std::int32_t c = t > 127 ? 127 : (t < -127 ? -127 : t);
-    a.out[v] = static_cast<std::int8_t>(c);
+    const std::int32_t t = round_half_away(s);
+    const std::int32_t c = t > a.hi ? a.hi : (t < a.lo ? a.lo : t);
+    if (a.out16)
+      a.out16[v] = static_cast<std::int16_t>(c);
+    else
+      a.out8[v] = static_cast<std::int8_t>(c);
   }
 }
 
@@ -489,17 +501,37 @@ void batch_syndrome_pass(const SimdBatchSyndromePass<typename Ops::Elem>& a) {
   }
 }
 
+/// Hard-bit drain of the lanes retiring at one boundary: one sweep takes
+/// every row's lane sign mask, then each retiring lane's words are columns
+/// of that (L1-resident) mask array. The sweep walks the rows in order, so
+/// the hardware prefetcher covers it.
+template <class Ops>
+void batch_drain_pass(const SimdBatchDrainPass<typename Ops::Elem>& a) {
+  constexpr std::size_t kF = Ops::kLanes;
+  for (std::uint32_t v = 0; v < a.rows; ++v)
+    a.signs[v] = Ops::sign_mask(Ops::load(a.p + std::size_t{v} * kF));
+  for (std::size_t v = a.rows; v < std::size_t{a.words} * 64; ++v)
+    a.signs[v] = 0;
+  for (std::uint32_t i = 0; i < a.count; ++i) {
+    std::uint64_t* const out = a.out + std::size_t{i} * a.words;
+    for (std::uint32_t w = 0; w < a.words; ++w)
+      out[w] = Ops::lane_column(a.signs + std::size_t{w} * 64, a.lanes[i]);
+  }
+}
+
 /// A tier's kernel table: both families' kernels over its int16 and int8
 /// lane ops, plus its channel quantizer.
 template <class Ops16, class Ops8>
-constexpr Kernels make_kernels(FaQuantizePassFn fa_quantize_pass) {
+constexpr Kernels make_kernels(QuantizePassFn quantize_pass) {
   static_assert(std::is_same_v<typename Ops16::Elem, std::int16_t> &&
                 std::is_same_v<typename Ops8::Elem, std::int8_t>);
   static_assert(Ops8::kLanes == 2 * Ops16::kLanes);  // see tier_lanes8
+  static_assert(Ops8::kLanes <= 64);  // sign_mask fits one word
   return Kernels{&layer_pass<Ops16>,          &batch_layer_pass<Ops16>,
-                 &batch_syndrome_pass<Ops16>, &layer_pass<Ops8>,
-                 &batch_layer_pass<Ops8>,     &batch_syndrome_pass<Ops8>,
-                 fa_quantize_pass};
+                 &batch_syndrome_pass<Ops16>, &batch_drain_pass<Ops16>,
+                 &layer_pass<Ops8>,           &batch_layer_pass<Ops8>,
+                 &batch_syndrome_pass<Ops8>,  &batch_drain_pass<Ops8>,
+                 quantize_pass};
 }
 
 }  // namespace ldpc::simd::detail

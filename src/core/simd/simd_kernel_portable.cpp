@@ -95,6 +95,17 @@ struct PortableOps {
   static Vec and_(Vec a, Vec b) {
     return map(a, b, [](int x, int y) { return x & y; });
   }
+  static std::uint64_t sign_mask(Vec a) {
+    std::uint64_t m = 0;
+    for (int i = 0; i < N; ++i)
+      m |= static_cast<std::uint64_t>(a.v[i] < 0) << i;
+    return m;
+  }
+  static std::uint64_t lane_column(const std::uint64_t* m, unsigned f) {
+    std::uint64_t col = 0;
+    for (int b = 0; b < 64; ++b) col |= ((m[b] >> f) & 1U) << b;
+    return col;
+  }
 
   // int16 only (the num/16 correction). Shifts act on the unsigned bit
   // pattern; the products of two T fit an int exactly.
@@ -117,13 +128,13 @@ struct PortableOps {
   }
 };
 
-void fa_quantize_pass(const SimdFaQuantizePass& pass) {
-  detail::fa_quantize_scalar(pass, 0);
+void quantize_pass(const SimdQuantizePass& pass) {
+  detail::quantize_scalar(pass, 0);
 }
 
 constexpr Kernels kKernels =
     detail::make_kernels<PortableOps<std::int16_t, 8>,
-                         PortableOps<std::int8_t, 16>>(&fa_quantize_pass);
+                         PortableOps<std::int8_t, 16>>(&quantize_pass);
 
 }  // namespace
 

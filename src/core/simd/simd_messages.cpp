@@ -1,15 +1,31 @@
 #include "core/simd/simd_messages.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ldpc::simd {
+namespace {
+
+/// The quantize kernel's parameters for codes on `grid`, clamped to
+/// [lo, hi]: the scalar quantizers' scale and rails-plus-one pre-limit.
+SimdQuantizePass quantize_params(const FixedFormat& grid, std::int32_t lo,
+                                 std::int32_t hi) {
+  SimdQuantizePass qp{};
+  qp.fscale = static_cast<float>(1 << grid.frac_bits);
+  qp.fhi = static_cast<float>(grid.max_code()) + 1.0F;
+  qp.flo = static_cast<float>(grid.min_code()) - 1.0F;
+  qp.hi = static_cast<std::int16_t>(hi);
+  qp.lo = static_cast<std::int16_t>(lo);
+  return qp;
+}
+
+}  // namespace
 
 Q16Messages::Q16Messages(FixedFormat fmt, float scale,
                          std::optional<SimdTier> t)
     : tier(t.value_or(best_tier())),
       format(fmt),
       kernels_(&kernels_for(tier)),
+      quant_(quantize_params(fmt, fmt.min_code(), fmt.max_code())),
       check_{static_cast<Elem>(fmt.min_code()),
              static_cast<Elem>(fmt.max_code()), ScaleMode::kThreeQuarters,
              3, 0},
@@ -31,37 +47,12 @@ Q16Messages Q16Messages::offset(FixedFormat fmt, std::int32_t offset_code,
   return m;
 }
 
-void Q16Messages::quantize_row(const float* llr, Elem* out,
-                               std::size_t n) const {
-  // A branchless restatement of FixedFormat::quantize the autovectorizer
-  // can chew on — same NaN -> 0, same rails-plus-one float pre-limit, same
-  // round-half-away in double (exact per the quantize() width argument),
-  // same integer rail clamp, so codes are bit-identical.
-  const float fscale = static_cast<float>(1 << format.frac_bits);
-  const float fhi = static_cast<float>(format.max_code()) + 1.0F;
-  const float flo = static_cast<float>(format.min_code()) - 1.0F;
-  const std::int32_t rail_hi = format.max_code();
-  const std::int32_t rail_lo = format.min_code();
-  for (std::size_t v = 0; v < n; ++v) {
-    float s = llr[v] * fscale;
-    s = s != s ? 0.0F : s;
-    s = s > fhi ? fhi : s;
-    s = s < flo ? flo : s;
-    // trunc(d + copysign(0.5, d)) == round_half_away(d): the cast
-    // truncates toward zero, so the negative arm ceil(d - 0.5) equals
-    // -floor(0.5 - d) — one conversion, no branch.
-    const double d = static_cast<double>(s);
-    const std::int32_t t = static_cast<std::int32_t>(d + std::copysign(0.5, d));
-    const std::int32_t c = t > rail_hi ? rail_hi : (t < rail_lo ? rail_lo : t);
-    out[v] = static_cast<Elem>(c);
-  }
-}
-
 FaMessages::FaMessages(const FaTableSet& ts, std::optional<SimdTier> t)
     : tier(t.value_or(best_tier())),
       tables(&ts),
       format(ts.posterior),
       kernels_(&kernels_for(tier)),
+      quant_(quantize_params(ts.posterior, -kFaRail, kFaRail)),
       num_thr_(static_cast<std::uint32_t>(ts.levels - 1)) {
   iter_tables_.reserve(ts.tables.size());
   for (const FaCnTable& table : ts.tables) {
@@ -77,18 +68,6 @@ FaMessages::FaMessages(const FaTableSet& ts, std::optional<SimdTier> t)
     }
     iter_tables_.push_back(it);
   }
-}
-
-void FaMessages::quantize_row(const float* llr, Elem* out,
-                              std::size_t n) const {
-  SimdFaQuantizePass qp;
-  qp.llr = llr;
-  qp.out = out;
-  qp.n = n;
-  qp.fscale = static_cast<float>(1 << format.frac_bits);
-  qp.fhi = static_cast<float>(format.max_code()) + 1.0F;
-  qp.flo = static_cast<float>(format.min_code()) - 1.0F;
-  kernels_->fa_quantize_pass(qp);
 }
 
 void FaMessages::bind_lanes(std::uint32_t lanes) {

@@ -15,7 +15,8 @@
 //                LayeredMinSumFaDecoder
 //
 // A policy holds the lane element type and count, the tier's kernel
-// entry points, the channel quantizer, the kernel's check-node parameters,
+// entry points, the channel quantizer (one kernel for both families, set
+// up with the family's grid and rails), the kernel's check-node parameters,
 // the per-iteration table hooks and the format envelope. The drivers call
 // it through the concrete type: every call resolves at compile time, and
 // the q16 hooks are empty inline functions.
@@ -65,9 +66,15 @@ class Q16Messages {
   Elem quantize(float llr, long long& clips) const {
     return static_cast<Elem>(format.quantize(llr, clips));
   }
-  /// Uncounted quantizer into a contiguous row, bit-identical to
-  /// FixedFormat::quantize.
-  void quantize_row(const float* llr, Elem* out, std::size_t n) const;
+  /// Uncounted quantizer into a contiguous row: the tier's quantize kernel,
+  /// bit-identical to FixedFormat::quantize (see SimdQuantizePass).
+  void quantize_row(const float* llr, Elem* out, std::size_t n) const {
+    SimdQuantizePass qp = quant_;
+    qp.llr = llr;
+    qp.n = n;
+    qp.out16 = out;
+    kernels_->quantize_pass(qp);
+  }
 
   /// Rails and correction, the same for either pass shape.
   template <class Pass>
@@ -94,12 +101,16 @@ class Q16Messages {
   void batch_syndrome(const SimdBatchSyndromePass<Elem>& pass) const {
     kernels_->batch_syndrome_pass(pass);
   }
+  void batch_drain(const SimdBatchDrainPass<Elem>& pass) const {
+    kernels_->batch_drain_pass(pass);
+  }
 
   SimdTier tier;
   FixedFormat format;
 
  private:
   const Kernels* kernels_;
+  SimdQuantizePass quant_;  ///< scale, pre-limit and rails; no buffers
   Q16Check check_;
   bool wide_ = false;  ///< outside the int16 lane envelope
 };
@@ -124,9 +135,15 @@ class FaMessages {
   Elem quantize(float llr, long long& clips) const {
     return static_cast<Elem>(fa_quantize(format, llr, clips));
   }
-  /// Uncounted quantizer into a contiguous row: the tier's vector quantize
-  /// kernel, bit-identical to fa_quantize (see SimdFaQuantizePass).
-  void quantize_row(const float* llr, Elem* out, std::size_t n) const;
+  /// Uncounted quantizer into a contiguous row: the tier's quantize kernel,
+  /// bit-identical to fa_quantize (see SimdQuantizePass).
+  void quantize_row(const float* llr, Elem* out, std::size_t n) const {
+    SimdQuantizePass qp = quant_;
+    qp.llr = llr;
+    qp.n = n;
+    qp.out8 = out;
+    kernels_->quantize_pass(qp);
+  }
 
   void setup(SimdLayerPass<Elem>& pass) const {
     pass.check.num_thr = num_thr_;
@@ -184,6 +201,9 @@ class FaMessages {
   void batch_syndrome(const SimdBatchSyndromePass<Elem>& pass) const {
     kernels_->fa_batch_syndrome_pass(pass);
   }
+  void batch_drain(const SimdBatchDrainPass<Elem>& pass) const {
+    kernels_->fa_batch_drain_pass(pass);
+  }
 
   SimdTier tier;
   const FaTableSet* tables;  ///< non-owning
@@ -199,6 +219,7 @@ class FaMessages {
   };
 
   const Kernels* kernels_;
+  SimdQuantizePass quant_;  ///< scale, pre-limit and rails; no buffers
   std::uint32_t num_thr_ = 0;  ///< staircase thresholds (levels - 1)
 
   const IterTable& table_for(std::size_t iter) const {

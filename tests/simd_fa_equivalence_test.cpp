@@ -7,8 +7,9 @@
 // across code geometries including z values that collide with none of the
 // int8 lane counts. Both quantizer paths are covered: the counted
 // per-element fa_quantize and the uncounted vector quantize kernel
-// (fa_quantize_pass), whose float-exactness argument lives in
-// simd_kernel.hpp. scripts/check.sh runs this suite scalar-only and under
+// (quantize_pass, shared with the int16 family; the cases below still
+// call it by its former int8-only name fa_quantize_pass), whose
+// exactness argument lives in simd_kernel.hpp. scripts/check.sh runs this suite scalar-only and under
 // the sanitizer matrix.
 #include <gtest/gtest.h>
 

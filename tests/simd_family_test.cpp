@@ -7,10 +7,14 @@
 //
 //   * a cancelled frame inside a batched block leaves its lane-mates
 //     bit-identical to the scalar reference;
+//   * lanes that retire and refill together at one iteration boundary —
+//     converged, out of iterations or cancelled — all match the scalar
+//     reference, counted and uncounted;
 //   * batched fault-campaign and observer decodes fall back per frame and
 //     say so (kFaultInjector / kObserver), with scalar-identical results;
 //   * the uncounted row quantizer matches the scalar codes on hostile
-//     LLRs (NaN, infinities, ties, rail-hot values) in both shapes;
+//     LLRs (NaN, infinities, ties, rail-hot values) in both shapes, and
+//     element by element around every half step of the rails;
 //   * the z-lane quantized entry point routes out-of-rail codes to the
 //     scalar twin (kOutOfRailInput) and matches the scalar decode;
 //   * z-lane observer snapshots match the scalar decoder's.
@@ -19,6 +23,7 @@
 // (LDPC_SIMD=OFF) build.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -73,6 +78,16 @@ struct Q8Family {
     return std::make_unique<SimdBatchDecoder>(code, opt, kFormat, tier);
   }
   static std::int32_t quantize(float llr) { return kFormat.quantize(llr); }
+  /// The tier's uncounted row quantizer, codes widened for comparison.
+  static std::vector<std::int32_t> quantize_row(const std::vector<float>& llr,
+                                                simd::SimdTier tier) {
+    const simd::Q16Messages msg(kFormat, 0.75F, tier);
+    std::vector<std::int16_t> codes(llr.size());
+    msg.quantize_row(llr.data(), codes.data(), llr.size());
+    return {codes.begin(), codes.end()};
+  }
+  static constexpr std::int32_t kRailLo = kFormat.min_code();
+  static constexpr std::int32_t kRailHi = kFormat.max_code();
   /// One code past the top rail: never produced by the quantizer.
   static std::int32_t out_of_rail() { return kFormat.max_code() + 1; }
 };
@@ -99,6 +114,18 @@ struct Fa4Family {
   static std::int32_t quantize(float llr) {
     return fa_quantize(FixedFormat{8, 2}, llr);
   }
+  /// The tier's uncounted row quantizer, codes widened for comparison.
+  static std::vector<std::int32_t> quantize_row(const std::vector<float>& llr,
+                                                simd::SimdTier tier) {
+    static const FaTableSet tables =
+        build_fa_tables(make_wifi_648_half_rate(), kMsgBits);
+    const simd::FaMessages msg(tables, tier);
+    std::vector<std::int8_t> codes(llr.size());
+    msg.quantize_row(llr.data(), codes.data(), llr.size());
+    return {codes.begin(), codes.end()};
+  }
+  static constexpr std::int32_t kRailLo = -kFaRail;
+  static constexpr std::int32_t kRailHi = kFaRail;
   /// -128 fits an int8 but lies outside the symmetric [-127, 127] rail.
   static std::int32_t out_of_rail() { return -kFaRail - 1; }
 };
@@ -224,6 +251,80 @@ TYPED_TEST(SimdFamily, DecodeBlockDetachesAttachedCancelToken) {
   }
 }
 
+// ------------------------------------------------------ refill / retire ----
+
+TYPED_TEST(SimdFamily, LanesRefillAndRetireTogetherForMixedReasons) {
+  // A block of 2W + 3 frames (W = the decoder's lane count) mixing frames
+  // that converge in one or two iterations, frames that run out of
+  // iterations and frames whose token is already cancelled: many lanes
+  // retire and refill at the same iteration boundaries, for different
+  // reasons, so the batched refill and drain serve several lanes in one
+  // sweep. Every frame must match the scalar reference, counted and
+  // uncounted.
+  const auto code = make_wifi_648_half_rate();
+  CancelToken cancelled;
+  cancelled.cancel();
+  const auto token = [&](std::size_t f) {
+    return f % 5 == 2 ? &cancelled : nullptr;
+  };
+  const float ebn0_db[] = {6.0F, 0.0F, 2.5F};
+  std::vector<std::vector<float>> pool;
+  // Enough frames for the widest block on any tier.
+  const std::size_t widest = simd::tier_lanes8(simd::SimdTier::kAvx512);
+  for (std::size_t f = 0; f < 2 * widest + 3; ++f)
+    pool.push_back(noisy_llr(code, ebn0_db[f % 3], f * 131 + 7));
+
+  for (const bool counted : {false, true}) {
+    DecoderOptions opt;
+    opt.count_saturation = counted;
+    const auto scalar = TypeParam::scalar(code, opt);
+    std::vector<DecodeResult> refs;
+    std::vector<SaturationStats> ref_sat;
+    for (std::size_t f = 0; f < pool.size(); ++f) {
+      scalar->set_cancel_token(token(f));
+      refs.push_back(scalar->decode(pool[f]));
+      ref_sat.push_back(scalar->saturation());
+    }
+    scalar->set_cancel_token(nullptr);
+
+    for (const simd::SimdTier tier : simd::available_tiers()) {
+      const auto batched = TypeParam::batched(code, opt, tier);
+      const std::size_t count = 2 * batched->block_width() + 3;
+      ASSERT_LE(count, pool.size());
+      // The mix does what it claims on every block size.
+      std::size_t quick = 0;
+      std::size_t exhausted = 0;
+      std::size_t expired = 0;
+      for (std::size_t f = 0; f < count; ++f) {
+        quick += refs[f].converged && refs[f].iterations <= 2 ? 1 : 0;
+        exhausted += refs[f].iterations == opt.max_iterations &&
+                             !refs[f].converged
+                         ? 1
+                         : 0;
+        expired += refs[f].status == DecodeStatus::kDeadlineExpired ? 1 : 0;
+      }
+      ASSERT_GE(quick, 3U);
+      ASSERT_GE(exhausted, 3U);
+      ASSERT_GE(expired, 3U);
+
+      std::vector<BlockFrame> frames;
+      for (std::size_t f = 0; f < count; ++f)
+        frames.push_back({pool[f], token(f)});
+      std::vector<DecodeResult> results(count);
+      std::vector<SaturationStats> saturation(count);
+      batched->decode_block(frames, results, saturation);
+      for (std::size_t f = 0; f < count; ++f) {
+        const std::string ctx = std::string("tier=") + simd::to_string(tier) +
+                                (counted ? " counted" : " uncounted") +
+                                " frame=" + std::to_string(f);
+        EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
+        expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f],
+                           ctx);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ fallbacks ----
 
 TYPED_TEST(SimdFamily, BatchedFaultCampaignFallsBackPerFrame) {
@@ -345,6 +446,43 @@ TYPED_TEST(SimdFamily, UncountedQuantizerMatchesScalarOnHostileLlrs) {
       expect_same_decode(ref, ref_sat, results[f], saturation[f],
                          ctx + " batched frame=" + std::to_string(f));
     }
+  }
+}
+
+TYPED_TEST(SimdFamily, RowQuantizerMatchesScalarAroundEveryHalfStep) {
+  // Round-half-away is decided at the half steps k + 0.5, so probe each
+  // one inside the rails (and the pre-limit band just past them) at the
+  // float below, the tie itself and the float above, scaled back to LLRs
+  // on the q8.2 grid both families quantize onto. 0.5 - 2^-25 (LLR
+  // +-0x1.fffffep-4) is the value an add-half-then-truncate round gets
+  // wrong: the sum 1 - 2^-25 rounds up to 1.0 in float.
+  constexpr float kScale = 4.0F;  // 1 << frac_bits of q8.2
+  std::vector<float> llr = {0x1.fffffep-4F, -0x1.fffffep-4F, 0.0F, -0.0F,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            1e30F, -1e30F};
+  for (std::int32_t k = TypeParam::kRailLo - 2; k <= TypeParam::kRailHi + 1;
+       ++k) {
+    const float tie = static_cast<float>(k) + 0.5F;
+    for (const float s : {std::nextafter(tie, -1e9F), tie,
+                          std::nextafter(tie, 1e9F)})
+      llr.push_back(s / kScale);
+  }
+  // Again at the end, so the two known values also reach the vector
+  // tiers' scalar tail (the length is no multiple of any vector width).
+  llr.push_back(0x1.fffffep-4F);
+  llr.push_back(-0x1.fffffep-4F);
+  ASSERT_NE(llr.size() % 16, 0U);
+
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    const std::vector<std::int32_t> codes = TypeParam::quantize_row(llr, tier);
+    ASSERT_EQ(codes.size(), llr.size());
+    for (std::size_t v = 0; v < llr.size(); ++v)
+      EXPECT_EQ(codes[v], TypeParam::quantize(llr[v]))
+          << "tier=" << simd::to_string(tier) << " v=" << v << " llr="
+          << std::hexfloat << llr[v];
   }
 }
 
