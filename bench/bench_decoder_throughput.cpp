@@ -16,13 +16,21 @@
 // "engine-simd-batched" entry — frames streamed through the BatchEngine
 // into the inter-frame-batched SIMD decoder as full lane-blocks, with
 // engine-level info/code throughput and p50/p95/p99 latency (acceptance
-// target >= 100 Mbps aggregate info throughput). Both SIMD rows hard-fail
-// the benchmark if any decode fell back to a scalar path: a tracked perf
-// number silently measured on the wrong kernel is worse than no number.
+// target >= 100 Mbps aggregate info throughput). One "batched-frame-cost"
+// row per batched family (int16 q8.2, int8 fa4) splits the batched
+// decoder's per-frame time into the work done once per frame (quantize,
+// lane refill, hard-bit drain) and the work done per iteration, from
+// decode_block timings at max_iterations 1 and 2 — visible without a
+// profiler. The SIMD rows hard-fail the benchmark if any decode fell back
+// to a scalar path: a tracked perf number silently measured on the wrong
+// kernel is worse than no number.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "channel/awgn.hpp"
@@ -143,6 +151,79 @@ Throughput measure_block(SimdBatchDecoder& dec, const QCLdpcCode& code,
   t.info_mbps = t.frames_per_s * static_cast<double>(code.k()) / 1e6;
   t.iters_per_frame = static_cast<double>(iters) / static_cast<double>(frames);
   return t;
+}
+
+/// Per-frame cost split of one batched decoder family. Full blocks of
+/// kCostFrames distinct frames go through decode_block at max_iterations 1
+/// and 2 with early termination on, alternating, best of each; with t_k
+/// the best time per frame at k iterations, fixed = 2 t1 - t2 is the work
+/// done once per frame (quantize, refill, drain) and iter = t2 - t1 one
+/// iteration (layer passes + syndrome probe). Frames that converge in the
+/// first iteration would shorten t2, so the row also records the mean
+/// iteration count of the k = 2 run.
+void add_frame_cost_row(
+    bench::JsonReporter& report, const char* format, float ebn0_db,
+    const std::function<std::unique_ptr<Decoder>(std::size_t)>& make,
+    const std::string& code_id, const std::string& rev) {
+  using clock = std::chrono::steady_clock;
+  constexpr std::size_t kCostFrames = 256;
+  const auto& code = code2304();
+  std::vector<std::vector<float>> pool;
+  for (std::size_t f = 0; f < 61; ++f)
+    pool.push_back(noisy_llr(code, ebn0_db, 11 + 13 * f));
+  std::vector<BlockFrame> block;
+  for (std::size_t f = 0; f < kCostFrames; ++f)
+    block.push_back({pool[f % pool.size()], nullptr});
+  std::vector<DecodeResult> results(kCostFrames);
+  std::vector<SaturationStats> sats(kCostFrames);
+
+  const std::unique_ptr<Decoder> dec[2] = {make(1), make(2)};
+  double best[2] = {1e30, 1e30};
+  std::size_t fallbacks = 0;
+  std::size_t iters2 = 0;
+  const auto start = clock::now();
+  for (int rep = 0;
+       rep < 5 ||
+       std::chrono::duration<double>(clock::now() - start).count() < 0.3;
+       ++rep) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      const auto t0 = clock::now();
+      dec[k]->decode_block(block, results, sats);
+      const double s = std::chrono::duration<double>(clock::now() - t0).count();
+      if (rep > 0) best[k] = std::min(best[k], s);  // rep 0 warms up
+      for (const DecodeResult& r : results)
+        if (r.simd_fallback != SimdFallback::kNone) ++fallbacks;
+      if (k == 1 && rep == 0)
+        for (const DecodeResult& r : results) iters2 += r.iterations;
+    }
+  }
+  if (fallbacks != 0) {
+    std::fprintf(stderr,
+                 "FATAL: %zu %s frame-cost decodes fell back to a scalar "
+                 "path — the split would be a lie\n",
+                 fallbacks, format);
+    std::exit(1);
+  }
+  const double t1 = best[0] * 1e6 / kCostFrames;
+  const double t2 = best[1] * 1e6 / kCostFrames;
+  report.add_row()
+      .set("decoder", "batched-frame-cost")
+      .set("format", format)
+      .set("label", dec[0]->name())
+      .set("code", code_id)
+      .set("ebn0_db", static_cast<double>(ebn0_db))
+      .set("frames_per_block", kCostFrames)
+      .set("t1_us_per_frame", t1)
+      .set("t2_us_per_frame", t2)
+      .set("fixed_us_per_frame", 2.0 * t1 - t2)
+      .set("iter_us_per_frame", t2 - t1)
+      .set("iters_per_frame_at_2",
+           static_cast<double>(iters2) / static_cast<double>(kCostFrames))
+      .set("simd_fallbacks", fallbacks)
+      .set("simd_tier", simd::to_string(simd::best_tier()))
+      .set("git_rev", rev);
+  std::printf("  %-28s %-5s fixed %6.2f us/frame  iteration %6.2f us/frame\n",
+              "batched-frame-cost", format, 2.0 * t1 - t2, t2 - t1);
 }
 
 void write_throughput_json() {
@@ -271,6 +352,24 @@ void write_throughput_json() {
         m.code_throughput_mbps, "", m.latency.p50_us, m.latency.p95_us,
         m.latency.p99_us);
   }
+  // Per-frame cost split of both batched families, at their workload
+  // operating points (q8.2 at 2.0 dB, fa4 at 3.0 dB).
+  add_frame_cost_row(
+      report, "q8.2", 2.0F,
+      [&](std::size_t max_iterations) -> std::unique_ptr<Decoder> {
+        DecoderOptions o;
+        o.max_iterations = max_iterations;
+        return std::make_unique<SimdBatchDecoder>(code, o);
+      },
+      code_id, rev);
+  add_frame_cost_row(
+      report, "fa4", 3.0F,
+      [&](std::size_t max_iterations) -> std::unique_ptr<Decoder> {
+        DecoderOptions o;
+        o.max_iterations = max_iterations;
+        return std::make_unique<SimdFaBatchDecoder>(code, o, 4);
+      },
+      code_id, rev);
   report.write("BENCH_decoder_throughput.json");
 }
 

@@ -32,9 +32,11 @@
 # thread fails loudly instead of hanging the gate.
 #   6. bench artifact  — runs the tracked decoder-throughput measurement and
 #                        fails unless BENCH_decoder_throughput.json carries
-#                        the aggregate "engine-simd-batched" entry with zero
-#                        SIMD fallbacks (the bench itself also exits nonzero
-#                        on any silent scalar fallback)
+#                        the aggregate "engine-simd-batched" entry and one
+#                        "batched-frame-cost" row per batched family (q8.2,
+#                        fa4), each with zero SIMD fallbacks (presence only,
+#                        no timing bound; the bench itself also exits
+#                        nonzero on any silent scalar fallback)
 #   7. HARQ artifact   — runs the HARQ link comparison bench and gates on
 #                        BENCH_harq_link.json: on every punctured MCS the
 #                        delivered throughput must order incremental >
@@ -128,7 +130,7 @@ else
   echo "== [5/13] decode service under TSan — skipped (--fast) =="
 fi
 
-echo "== [6/13] fused-path throughput artifact (engine-simd-batched) =="
+echo "== [6/13] fused-path throughput artifact (engine-simd-batched, batched-frame-cost) =="
 cmake --build build -j "$JOBS" --target bench_decoder_throughput
 # The tracked wall-clock measurement runs before the google-benchmark
 # suite; an unmatchable filter skips the latter so this stage stays quick.
@@ -148,6 +150,23 @@ case "$ENGINE_ROW" in
     exit 1
     ;;
 esac
+# The per-frame cost split of both batched families must be recorded too
+# (an artifact-presence check: the split is for reading, not gating).
+for FORMAT in q8.2 fa4; do
+  COST_ROW=$(grep '"decoder": "batched-frame-cost"' \
+    build/BENCH_decoder_throughput.json | grep "\"format\": \"$FORMAT\"" || true)
+  case "$COST_ROW" in
+    *'"simd_fallbacks": 0'*) ;;
+    '')
+      echo "BENCH_decoder_throughput.json lacks the $FORMAT batched-frame-cost row" >&2
+      exit 1
+      ;;
+    *)
+      echo "$FORMAT batched-frame-cost row reports nonzero simd_fallbacks" >&2
+      exit 1
+      ;;
+  esac
+done
 
 echo "== [7/13] HARQ link artifact (combining-gain ordering + residual BLER) =="
 cmake --build build -j "$JOBS" --target bench_harq_link
