@@ -1,6 +1,7 @@
 #include "core/simd/simd_batch.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -51,8 +52,10 @@ void SimdBatchDriver<P>::init_block_geometry() {
   q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
   active_.assign(lanes_, Elem{0});
   r_keep_.assign(lanes_, Elem{-1});
+  // The mask sweep writes rows below n; the rows past n stay zero, so the
+  // drain reads whole 64-row words.
   const std::size_t words = (code_.n() + 63) / 64;
-  signs_.resize(words * 64);
+  signs_.assign(words * 64, 0);
   words_.resize(words * lanes_);
   loading_.reserve(lanes_);
   retiring_.reserve(lanes_);
@@ -100,7 +103,8 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
   const std::size_t n = code_.n();
   std::size_t next = 0;  // next pending frame to claim a lane
   std::size_t done = 0;
-  std::uint32_t live = 0;  // lanes currently carrying a frame
+  std::uint64_t live = 0;  // bit(f) set: lane f carries a frame
+  const auto bit = [](std::uint32_t f) { return std::uint64_t{1} << f; };
   // Every frame runs the batched kernel; saturation() reports the stats of
   // the last frame to retire.
   last_used_scalar_ = false;
@@ -119,16 +123,11 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
   pass.p_clips = p_clips_.data();
   msg_.setup(pass);
 
-  simd::SimdBatchSyndromePass<Elem> syn;
-  syn.p = p_.data();
-  syn.z = z_;
-
   const bool et = options_.early_termination;
   const bool wd = options_.watchdog.enabled();
 
   simd::SimdBatchDrainPass<Elem> drain_pass;
   drain_pass.p = p_.data();
-  drain_pass.rows = static_cast<std::uint32_t>(n);
   drain_pass.signs = signs_.data();
   drain_pass.words = static_cast<std::uint32_t>((n + 63) / 64);
   drain_pass.lanes = retiring_.data();
@@ -149,7 +148,7 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
     degenerate_[f] = 0;
     active_[f] = -1;
     loading_.push_back(f);
-    ++live;
+    live |= bit(f);
   };
 
   // Quantize the claimed lanes' frames into their columns, kRefillRows
@@ -185,50 +184,73 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
     loading_.clear();
   };
 
-  // Retire lane f: stop counting its clips and queue it for the boundary's
-  // drain, which writes its frame's DecodeResult exactly as the scalar
-  // decoder's iteration tail + output parity recheck would have. When the
-  // caller just ran the vectorized syndrome pass, lane f's parity is
-  // already known (`parity_known` + `parity` = weight_[f] == 0) and the
-  // scalar whole-code parity_ok walk is skipped; only cancellation mid-
-  // iteration (stale weight_) and the no-probe configuration pay it.
-  const auto retire = [&](std::uint32_t f, bool watchdog_fired, bool cancelled,
-                          bool parity_known, bool parity) {
-    lane_[f].exit = {watchdog_fired, cancelled, parity_known, parity};
-    active_[f] = 0;
-    retiring_.push_back(f);
-    --live;
+  // The lanes of `of` whose hard decisions fail parity. One kernel sweep
+  // takes every posterior row's lane sign mask into signs_; check row r of
+  // a layer is then unsatisfied in the lanes set in the XOR of its blocks'
+  // masks signs_[p_base + (r + shift) mod z] — the scalar parity check,
+  // bit-sliced across frames. With the watchdog on, each lane's
+  // unsatisfied rows are also counted into weight_[f], which then equals
+  // QCLdpcCode::syndrome_weight of its hard decisions.
+  const auto unsatisfied = [&](std::uint64_t of) {
+    if (wd) std::fill(weight_.begin(), weight_.end(), 0);
+    drain_pass.rows = static_cast<std::uint32_t>(n);
+    drain_pass.count = 0;
+    msg_.batch_drain(drain_pass);
+    std::uint64_t unsat = 0;
+    for (const auto& blocks : layers_)
+      for (std::uint32_t r = 0; r < z_; ++r) {
+        std::uint64_t word = 0;
+        for (const simd::BatchBlock& b : blocks) {
+          const std::uint32_t rot = r + b.shift;
+          word ^= signs_[b.p_base + (rot < z_ ? rot : rot - z_)];
+        }
+        word &= of;
+        unsat |= word;
+        for (; wd && word != 0; word &= word - 1)
+          ++weight_[std::countr_zero(word)];
+      }
+    return unsat;
   };
 
-  // Write the results of every lane retired at this boundary. One kernel
-  // sweep takes the posterior rows' sign masks and reads each retiring
-  // lane's hard-bit words out of them; it runs before the next layer pass
+  // Retire lane f: stop counting its clips and write its frame's
+  // DecodeResult exactly as the scalar decoder's iteration tail + output
+  // parity recheck would have, `parity` coming from this boundary's sign
+  // masks; the boundary's drain() then adds the hard bits.
+  const auto retire = [&](std::uint32_t f, bool parity, bool watchdog_fired,
+                          bool cancelled) {
+    const Lane& lane = lane_[f];
+    DecodeResult& res = results[lane.frame];
+    res.iterations = lane.iter;
+    res.converged = parity;
+    res.status = classify_exit(parity, watchdog_fired, 0, cancelled);
+    res.faults_injected = 0;
+    res.simd_fallback = SimdFallback::kNone;
+    SaturationStats& sat = saturation[lane.frame];
+    sat.q_clips = q_clips_[f];
+    sat.r_clips = r_clips_[f];
+    sat.p_clips = p_clips_[f];
+    sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
+    sat.degenerate_checks = degenerate_[f];
+    saturation_ = sat;
+    active_[f] = 0;
+    live &= ~bit(f);
+    retiring_.push_back(f);
+  };
+
+  // Read the hard-bit words of every lane retired at this boundary out of
+  // the sign masks its parity came from, before the next layer pass
   // overwrites the retired lanes.
   const auto drain = [&] {
     if (retiring_.empty()) return;
+    drain_pass.rows = 0;
     drain_pass.count = static_cast<std::uint32_t>(retiring_.size());
     msg_.batch_drain(drain_pass);
     for (std::size_t i = 0; i < retiring_.size(); ++i) {
-      const std::uint32_t f = retiring_[i];
-      Lane& lane = lane_[f];
-      DecodeResult& res = results[lane.frame];
-      res.hard_bits.resize(n);
+      Lane& lane = lane_[retiring_[i]];
+      BitVec& bits = results[lane.frame].hard_bits;
+      bits.resize(n);
       for (std::uint32_t w = 0; w < drain_pass.words; ++w)
-        res.hard_bits.set_word(w, words_[i * drain_pass.words + w]);
-      res.iterations = lane.iter;
-      res.converged = lane.exit.parity_known ? lane.exit.parity
-                                             : code_.parity_ok(res.hard_bits);
-      res.status = classify_exit(res.converged, lane.exit.watchdog_fired, 0,
-                                 lane.exit.cancelled);
-      res.faults_injected = 0;
-      res.simd_fallback = SimdFallback::kNone;
-      SaturationStats& sat = saturation[lane.frame];
-      sat.q_clips = q_clips_[f];
-      sat.r_clips = r_clips_[f];
-      sat.p_clips = p_clips_[f];
-      sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
-      sat.degenerate_checks = degenerate_[f];
-      saturation_ = sat;
+        bits.set_word(w, words_[i * drain_pass.words + w]);
       lane.frame = kIdleLane;
       lane.cancel = nullptr;
       ++done;
@@ -252,18 +274,25 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
         msg_.start_lane_iteration(f, iter);
       }
 
-    for (std::size_t l = 0; l < layers_.size() && live > 0; ++l) {
+    for (std::size_t l = 0; l < layers_.size() && live != 0; ++l) {
       // Same cooperative-cancellation cadence as the scalar decoder:
       // polled at every layer boundary, where lane posteriors are
       // consistent. An expired lane finalizes from its current state —
       // parity recheck decides converged vs deadline-expired.
+      std::uint64_t expired = 0;
       for (std::uint32_t f = 0; f < lanes_; ++f) {
         const Lane& lane = lane_[f];
         if (lane.frame != kIdleLane && lane.cancel && lane.cancel->expired())
-          retire(f, false, true, false, false);
+          expired |= bit(f);
       }
-      drain();
-      if (live == 0) break;
+      if (expired != 0) {
+        const std::uint64_t unsat = unsatisfied(expired);
+        for (std::uint32_t f = 0; f < lanes_; ++f)
+          if ((expired & bit(f)) != 0)
+            retire(f, (unsat & bit(f)) == 0, false, true);
+        drain();
+        if (live == 0) break;
+      }
       const auto& blocks = layers_[l];
       if (blocks.empty()) continue;
       pass.blocks = blocks.data();
@@ -282,33 +311,29 @@ void SimdBatchDriver<P>::run_block(std::span<const BlockFrame> frames,
 
     // Iteration tail, per lane in the scalar order: early termination,
     // then the watchdog (which may abort even on the final iteration),
-    // then the iteration budget.
-    if (et || wd) {
-      std::fill(weight_.begin(), weight_.end(), 0);
-      syn.weight = weight_.data();
-      for (const auto& blocks : layers_) {
-        if (blocks.empty()) continue;
-        syn.blocks = blocks.data();
-        syn.deg = static_cast<std::uint32_t>(blocks.size());
-        msg_.batch_syndrome(syn);
-      }
-    }
-    const bool probed = et || wd;  // weight_ holds this iteration's syndrome
+    // then the iteration budget. The masks are swept only when one of
+    // them can retire a lane.
+    const std::size_t budget = options_.max_iterations;
+    const bool probe =
+        et || wd ||
+        std::any_of(lane_.begin(), lane_.end(), [&](const Lane& lane) {
+          return lane.frame != kIdleLane && lane.iter >= budget;
+        });
+    const std::uint64_t unsat = probe ? unsatisfied(live) : 0;
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       Lane& lane = lane_[f];
       if (lane.frame == kIdleLane) continue;
-      const bool parity = probed && weight_[f] == 0;
+      const bool parity = (unsat & bit(f)) == 0;
       if (et && parity) {
-        retire(f, false, false, true, true);
+        retire(f, true, false, false);
         continue;
       }
       if (wd && lane.watchdog.should_abort(
                     static_cast<std::size_t>(weight_[f]))) {
-        retire(f, true, false, probed, parity);
+        retire(f, parity, true, false);
         continue;
       }
-      if (lane.iter >= options_.max_iterations)
-        retire(f, false, false, probed, parity);
+      if (lane.iter >= budget) retire(f, parity, false, false);
     }
     drain();
   }

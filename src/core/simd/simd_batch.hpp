@@ -17,8 +17,10 @@
 //     the z-lane kernel, zero lanes here;
 //   * the circulant rotation becomes a scalar index per vector load — the
 //     barrel-shift gather/scatter memcpys of the z-lane kernel disappear;
-//   * the per-iteration syndrome probe vectorizes too (one XOR chain per
-//     row, all frames at once), so early termination no longer serializes;
+//   * the per-iteration parity probe covers all frames at once: one sweep
+//     takes each posterior row's lane sign mask, and a check row's
+//     unsatisfied lanes are the XOR of its variables' 64-bit masks, so
+//     early termination no longer serializes;
 //   * the AVX-512 tier decodes 32 (int16) or 64 (int8) frames per sweep.
 //
 // Frames inside a block are independent decodes at independent iteration
@@ -26,10 +28,11 @@
 // budget) the lane is refilled with the next pending frame *mid-block*, so
 // block throughput tracks the mean iteration count, not the max — a
 // lockstep batch would pay the slowest frame's iterations on every lane.
-// Lanes that retire at one iteration boundary are drained together (one
-// sweep of row sign masks), and lanes claimed at one boundary are loaded
-// together (one tiled quantize-and-scatter sweep), so the per-frame work
-// touches each posterior line once per boundary, not once per frame.
+// Lanes that retire at one iteration boundary read their hard bits out of
+// the same sign masks that decided their parity, and lanes claimed at one
+// boundary are loaded together (one tiled quantize-and-scatter sweep), so
+// the per-frame work touches each posterior line once per boundary, not
+// once per frame.
 // The finite-alphabet tables are per-iteration, so that policy keeps one
 // staircase column per lane and refreshes it as the lane's iteration moves.
 //
@@ -109,15 +112,6 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
   /// the boundary is scattered into them.
   static constexpr std::size_t kRefillRows = 128;
 
-  /// Why a retiring lane stopped, kept until the boundary's drain writes
-  /// its DecodeResult.
-  struct Exit {
-    bool watchdog_fired = false;
-    bool cancelled = false;
-    bool parity_known = false;  ///< `parity` is this iteration's syndrome
-    bool parity = false;
-  };
-
   /// Per-lane decode-in-flight state; `frame` indexes into the current
   /// decode_block call's spans (kIdleLane when the lane holds no frame).
   struct Lane {
@@ -125,7 +119,6 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
     std::size_t iter = 0;
     WatchdogState watchdog{WatchdogOptions{}};
     const CancelToken* cancel = nullptr;
-    Exit exit;
   };
 
   void init_block_geometry();
@@ -142,7 +135,7 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
   AlignedVec<Elem> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<Elem> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                              ///< as 0 — see r_keep in SimdBatchLayerPass)
-  AlignedVec<std::uint64_t> signs_;   ///< per-row lane sign masks (drain)
+  AlignedVec<std::uint64_t> signs_;   ///< per-row lane sign masks
   AlignedVec<std::uint64_t> words_;   ///< retiring lanes' hard-bit words
   std::vector<std::uint32_t> loading_;   ///< lanes claimed at this boundary
   std::vector<std::uint32_t> retiring_;  ///< lanes retired at this boundary

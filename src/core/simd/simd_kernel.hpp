@@ -201,35 +201,22 @@ struct SimdBatchLayerPass {
   long long* p_clips;
 };
 
-/// Per-lane syndrome accumulation for one layer: adds the number of this
-/// layer's z check rows that are unsatisfied in lane f to weight[f].
-/// Summed over all layers this equals QCLdpcCode::syndrome_weight of the
-/// lane's hard decisions (weight == 0 <=> parity_ok), vectorized so the
-/// per-iteration early-termination / watchdog probe does not serialize the
-/// batch.
-template <class T>
-struct SimdBatchSyndromePass {
-  const T* p;                  ///< n rows * F lanes posteriors
-  const BatchBlock* blocks;    ///< deg block descriptors
-  std::uint32_t deg;
-  std::uint32_t z;
-  std::int32_t* weight;        ///< F accumulators (+= per-lane unsat rows)
-};
-
-/// Hard-decision drain of the lanes that retire at one iteration boundary.
-/// One sweep over the posterior rows takes each row's lane sign mask (bit f
-/// set = lane f's posterior is negative, a LaneOps sign_mask) into `signs`;
-/// each retiring lane's hard-bit words are then read out of that mask
-/// array, which stays L1-resident, instead of walking the lane's strided
-/// column (one cache line per bit). Must run before the next layer pass,
-/// which overwrites the retired lanes with garbage.
+/// The sign-mask sweep of one iteration boundary, and the hard-bit words
+/// of the lanes that retire at it. The sweep takes each posterior row's lane
+/// sign mask (bit f set = lane f's posterior is negative, a LaneOps
+/// sign_mask) into `signs`; the driver derives every lane's syndrome from
+/// that array in plain integer code, then calls again with rows = 0 to read
+/// each retiring lane's hard-bit words out of the same masks, which stay
+/// L1-resident, instead of walking the lane's strided column (one cache
+/// line per bit). Must run before the next layer pass, which overwrites the
+/// retired lanes with garbage.
 template <class T>
 struct SimdBatchDrainPass {
-  const T* p;                  ///< rows * F lanes posteriors
-  std::uint32_t rows;          ///< variable rows (n)
-  /// words * 64 masks of scratch; rows past `rows` are written as zero.
+  const T* p;                  ///< n rows * F lanes posteriors
+  std::uint32_t rows;          ///< rows to sweep: n, or 0 (`signs` current)
+  /// words * 64 masks; the caller keeps the rows past n zero.
   std::uint64_t* signs;
-  std::uint32_t words;         ///< hard-bit words per lane, ceil(rows / 64)
+  std::uint32_t words;         ///< hard-bit words per lane, ceil(n / 64)
   const std::uint32_t* lanes;  ///< the retiring lanes
   std::uint32_t count;         ///< number of retiring lanes
   std::uint64_t* out;          ///< count * words hard-bit words, lane-major
@@ -263,8 +250,6 @@ using LayerPassFn = void (*)(const SimdLayerPass<T>&);
 template <class T>
 using BatchLayerPassFn = void (*)(const SimdBatchLayerPass<T>&);
 template <class T>
-using BatchSyndromePassFn = void (*)(const SimdBatchSyndromePass<T>&);
-template <class T>
 using BatchDrainPassFn = void (*)(const SimdBatchDrainPass<T>&);
 using QuantizePassFn = void (*)(const SimdQuantizePass&);
 
@@ -281,11 +266,9 @@ std::vector<SimdTier> available_tiers();
 struct Kernels {
   LayerPassFn<std::int16_t> layer_pass;
   BatchLayerPassFn<std::int16_t> batch_layer_pass;
-  BatchSyndromePassFn<std::int16_t> batch_syndrome_pass;
   BatchDrainPassFn<std::int16_t> batch_drain_pass;
   LayerPassFn<std::int8_t> fa_layer_pass;
   BatchLayerPassFn<std::int8_t> fa_batch_layer_pass;
-  BatchSyndromePassFn<std::int8_t> fa_batch_syndrome_pass;
   BatchDrainPassFn<std::int8_t> fa_batch_drain_pass;
   QuantizePassFn quantize_pass;
 };

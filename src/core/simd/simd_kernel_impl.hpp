@@ -465,53 +465,15 @@ void batch_layer_pass(const SimdBatchLayerPass<typename Ops::Elem>& a) {
     batch_pass<Ops, false>(a);
 }
 
-/// Per-lane syndrome contribution of one layer: for each of the layer's z
-/// check rows, XOR the hard-decision masks (posterior < 0) of its
-/// variables; an all-ones lane means that lane's row is unsatisfied. Row
-/// counts accumulate in element-typed lanes, drained into the int32
-/// per-lane weights every max/2 + 1 rows (int8: 64, int16: 16384) so a
-/// count never reaches the lane's rail.
-template <class Ops>
-void batch_syndrome_pass(const SimdBatchSyndromePass<typename Ops::Elem>& a) {
-  using T = typename Ops::Elem;
-  using V = typename Ops::Vec;
-  constexpr std::size_t kF = Ops::kLanes;
-  constexpr std::uint32_t kAhead = ArithFor<Ops>::kPrefetchRows;
-  constexpr std::uint32_t kDrainRows = std::numeric_limits<T>::max() / 2 + 1;
-  const V zero = Ops::zero();
-  std::uint32_t row = 0;
-  while (row < a.z) {
-    const std::uint32_t end = a.z - row > kDrainRows ? row + kDrainRows : a.z;
-    V w = zero;
-    for (; row < end; ++row) {
-      V acc = zero;
-      for (std::uint32_t j = 0; j < a.deg; ++j) {
-        const BatchBlock& b = a.blocks[j];
-        std::uint32_t rot = row + b.shift;
-        if (rot >= a.z) rot -= a.z;
-        __builtin_prefetch(
-            a.p + (static_cast<std::size_t>(b.p_base + rot) + kAhead) * kF, 0);
-        const V p =
-            Ops::load(a.p + static_cast<std::size_t>(b.p_base + rot) * kF);
-        acc = Ops::xor_(acc, Ops::cmpgt(zero, p));
-      }
-      w = Ops::sub(w, acc);  // acc is all-ones exactly in unsatisfied lanes
-    }
-    drain_lanes<Ops>(w, a.weight);
-  }
-}
-
-/// Hard-bit drain of the lanes retiring at one boundary: one sweep takes
-/// every row's lane sign mask, then each retiring lane's words are columns
-/// of that (L1-resident) mask array. The sweep walks the rows in order, so
-/// the hardware prefetcher covers it.
+/// Sign-mask sweep and hard-bit drain of one iteration boundary: the sweep
+/// takes every row's lane sign mask, then each retiring lane's words are
+/// columns of that (L1-resident) mask array. The sweep walks the rows in
+/// order, so the hardware prefetcher covers it.
 template <class Ops>
 void batch_drain_pass(const SimdBatchDrainPass<typename Ops::Elem>& a) {
   constexpr std::size_t kF = Ops::kLanes;
   for (std::uint32_t v = 0; v < a.rows; ++v)
     a.signs[v] = Ops::sign_mask(Ops::load(a.p + std::size_t{v} * kF));
-  for (std::size_t v = a.rows; v < std::size_t{a.words} * 64; ++v)
-    a.signs[v] = 0;
   for (std::uint32_t i = 0; i < a.count; ++i) {
     std::uint64_t* const out = a.out + std::size_t{i} * a.words;
     for (std::uint32_t w = 0; w < a.words; ++w)
@@ -527,10 +489,9 @@ constexpr Kernels make_kernels(QuantizePassFn quantize_pass) {
                 std::is_same_v<typename Ops8::Elem, std::int8_t>);
   static_assert(Ops8::kLanes == 2 * Ops16::kLanes);  // see tier_lanes8
   static_assert(Ops8::kLanes <= 64);  // sign_mask fits one word
-  return Kernels{&layer_pass<Ops16>,          &batch_layer_pass<Ops16>,
-                 &batch_syndrome_pass<Ops16>, &batch_drain_pass<Ops16>,
-                 &layer_pass<Ops8>,           &batch_layer_pass<Ops8>,
-                 &batch_syndrome_pass<Ops8>,  &batch_drain_pass<Ops8>,
+  return Kernels{&layer_pass<Ops16>,       &batch_layer_pass<Ops16>,
+                 &batch_drain_pass<Ops16>, &layer_pass<Ops8>,
+                 &batch_layer_pass<Ops8>,  &batch_drain_pass<Ops8>,
                  quantize_pass};
 }
 

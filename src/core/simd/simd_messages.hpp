@@ -98,9 +98,6 @@ class Q16Messages {
   void batch_layer(const SimdBatchLayerPass<Elem>& pass) const {
     kernels_->batch_layer_pass(pass);
   }
-  void batch_syndrome(const SimdBatchSyndromePass<Elem>& pass) const {
-    kernels_->batch_syndrome_pass(pass);
-  }
   void batch_drain(const SimdBatchDrainPass<Elem>& pass) const {
     kernels_->batch_drain_pass(pass);
   }
@@ -197,9 +194,6 @@ class FaMessages {
   }
   void batch_layer(const SimdBatchLayerPass<Elem>& pass) const {
     kernels_->fa_batch_layer_pass(pass);
-  }
-  void batch_syndrome(const SimdBatchSyndromePass<Elem>& pass) const {
-    kernels_->fa_batch_syndrome_pass(pass);
   }
   void batch_drain(const SimdBatchDrainPass<Elem>& pass) const {
     kernels_->fa_batch_drain_pass(pass);

@@ -11,6 +11,7 @@
 // TSan, so lane indexing or refill races fail loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -88,8 +89,11 @@ void expect_block_identical(SimdBatchDecoder& batched,
 /// every tier x block sizes {1, W-1, W, W+3} where W is the tier's lane
 /// width — one lane, a partial block, a full block, and a block that
 /// forces a mid-flight lane refill.
+/// `refs_out`, when set, receives the scalar references, so a case can
+/// assert what its frames do.
 void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
-                FixedFormat fmt, float ebn0_db) {
+                FixedFormat fmt, float ebn0_db,
+                std::vector<Reference>* refs_out = nullptr) {
   std::size_t max_width = 0;
   for (const simd::SimdTier tier : simd::available_tiers())
     max_width = std::max<std::size_t>(max_width, simd::tier_lanes(tier));
@@ -102,6 +106,7 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
                              static_cast<std::uint64_t>(f) * 131 + 7));
     refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
   }
+  if (refs_out) *refs_out = refs;
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
     SimdBatchDecoder batched(code, opt, fmt, tier);
@@ -157,8 +162,22 @@ TEST(SimdBatch, RandomQcZ33OddGeometry) {
   cfg.z = 33;
   cfg.info_row_degree = 5;
   cfg.seed = 21;
-  sweep_code(make_random_qc_code(cfg), counting_options(), FixedFormat{8, 2},
-             2.5F);
+  const auto code = make_random_qc_code(cfg);
+  sweep_code(code, counting_options(), FixedFormat{8, 2}, 2.5F);
+  // With the watchdog on, per-lane syndrome weights (not just parity)
+  // decide when frames stop, so every check row's mask words count — n is
+  // not a multiple of 64 and every rotation wraps. ET on and off.
+  DecoderOptions opt = counting_options();
+  opt.max_iterations = 30;
+  opt.watchdog.stall_window = 4;
+  for (const bool et : {true, false}) {
+    opt.early_termination = et;
+    std::vector<Reference> refs;
+    sweep_code(code, opt, FixedFormat{8, 2}, 0.0F, &refs);
+    EXPECT_TRUE(std::any_of(refs.begin(), refs.end(), [](const Reference& r) {
+      return r.result.status == DecodeStatus::kWatchdogAbort;
+    })) << "et=" << et;
+  }
 }
 
 TEST(SimdBatch, LongCirculantNeedsNoGeometryEnvelope) {
@@ -213,7 +232,8 @@ TEST(SimdBatch, ScaleSweep) {
 
 TEST(SimdBatch, EarlyTerminationOff) {
   // Fixed iteration budget: lanes retire together only at max_iterations,
-  // and the syndrome probe runs solely for the watchdog (here: not at all).
+  // the one boundary that sweeps the sign masks (for the output parity
+  // recheck; the watchdog, off here, would sweep every iteration).
   DecoderOptions opt = counting_options();
   opt.early_termination = false;
   opt.max_iterations = 8;

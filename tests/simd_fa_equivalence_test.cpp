@@ -86,8 +86,11 @@ void expect_block_identical(SimdFaBatchDecoder& batched,
 /// every tier twice over — the z-lane decoder per frame, and the batched
 /// decoder at block sizes {1, W-1, W, W+3} (one lane, a partial block, a
 /// full block, a mid-flight lane refill).
+/// `refs_out`, when set, receives the scalar references, so a case can
+/// assert what its frames do.
 void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
-                int msg_bits, float ebn0_db) {
+                int msg_bits, float ebn0_db,
+                std::vector<Reference>* refs_out = nullptr) {
   std::size_t max_width = 0;
   for (const simd::SimdTier tier : simd::available_tiers())
     max_width = std::max<std::size_t>(max_width, simd::tier_lanes8(tier));
@@ -100,6 +103,7 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
                              static_cast<std::uint64_t>(f) * 131 + 7));
     refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
   }
+  if (refs_out) *refs_out = refs;
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
     const std::string ctx = "fa" + std::to_string(msg_bits) +
@@ -205,6 +209,24 @@ TEST(SimdFaEquivalence, WatchdogAbort) {
   opt.watchdog.stall_window = 4;
   // 0 dB: most frames stall, so the watchdog path actually fires.
   sweep_code(make_wifi_648_half_rate(), opt, 4, 0.0F);
+  // The odd geometry of RandomQcZ33OddGeometry (n not a multiple of 64,
+  // every rotation wraps), ET on and off: per-lane syndrome weights decide
+  // the aborts row by row.
+  RandomQcConfig cfg;
+  cfg.block_rows = 5;
+  cfg.block_cols = 15;
+  cfg.z = 33;
+  cfg.info_row_degree = 5;
+  cfg.seed = 23;
+  const auto code = make_random_qc_code(cfg);
+  for (const bool et : {true, false}) {
+    opt.early_termination = et;
+    std::vector<Reference> refs;
+    sweep_code(code, opt, 4, 0.0F, &refs);
+    EXPECT_TRUE(std::any_of(refs.begin(), refs.end(), [](const Reference& r) {
+      return r.result.status == DecodeStatus::kWatchdogAbort;
+    })) << "et=" << et;
+  }
 }
 
 }  // namespace

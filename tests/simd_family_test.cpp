@@ -8,8 +8,9 @@
 //   * a cancelled frame inside a batched block leaves its lane-mates
 //     bit-identical to the scalar reference;
 //   * lanes that retire and refill together at one iteration boundary —
-//     converged, out of iterations or cancelled — all match the scalar
-//     reference, counted and uncounted;
+//     converged, out of iterations or cancelled, one cancelled frame
+//     already a codeword — all match the scalar reference, counted and
+//     uncounted;
 //   * batched fault-campaign and observer decodes fall back per frame and
 //     say so (kFaultInjector / kObserver), with scalar-identical results;
 //   * the uncounted row quantizer matches the scalar codes on hostile
@@ -273,6 +274,10 @@ TYPED_TEST(SimdFamily, LanesRefillAndRetireTogetherForMixedReasons) {
   const std::size_t widest = simd::tier_lanes8(simd::SimdTier::kAvx512);
   for (std::size_t f = 0; f < 2 * widest + 3; ++f)
     pool.push_back(noisy_llr(code, ebn0_db[f % 3], f * 131 + 7));
+  // Cancelled frame 12 is nearly noiseless: its channel hard decisions
+  // already form a codeword, so the parity check at the cancel boundary
+  // must report it converged, not expired.
+  pool[12] = noisy_llr(code, 20.0F, 12 * 131 + 7);
 
   for (const bool counted : {false, true}) {
     DecoderOptions opt;
@@ -295,6 +300,7 @@ TYPED_TEST(SimdFamily, LanesRefillAndRetireTogetherForMixedReasons) {
       std::size_t quick = 0;
       std::size_t exhausted = 0;
       std::size_t expired = 0;
+      std::size_t cancelled_codewords = 0;
       for (std::size_t f = 0; f < count; ++f) {
         quick += refs[f].converged && refs[f].iterations <= 2 ? 1 : 0;
         exhausted += refs[f].iterations == opt.max_iterations &&
@@ -302,10 +308,13 @@ TYPED_TEST(SimdFamily, LanesRefillAndRetireTogetherForMixedReasons) {
                          ? 1
                          : 0;
         expired += refs[f].status == DecodeStatus::kDeadlineExpired ? 1 : 0;
+        cancelled_codewords +=
+            token(f) && refs[f].status == DecodeStatus::kConverged ? 1 : 0;
       }
       ASSERT_GE(quick, 3U);
       ASSERT_GE(exhausted, 3U);
       ASSERT_GE(expired, 3U);
+      ASSERT_GE(cancelled_codewords, 1U);
 
       std::vector<BlockFrame> frames;
       for (std::size_t f = 0; f < count; ++f)
