@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -883,16 +884,27 @@ TEST(BatchEngineBlocks, DecodeBatchBlockShapeMatchesPerFrame) {
     BatchEngine engine(batched_factory(code), engine_config(1, 32));
     reference = engine.decode_batch(frames);
   }
-  for (const std::size_t width : {3u, 8u, 16u}) {
-    BatchEngineConfig config = engine_config(2, 32);
+  // Ragged widths at 2 workers, then whole lane-width blocks at 1, 2 and 4
+  // workers: the output does not depend on the block shape or the worker
+  // count.
+  const std::size_t lane_width = batched_factory(code)()->block_width();
+  const std::pair<unsigned, std::size_t> shapes[] = {
+      {2, 3}, {2, 8}, {2, 16}, {1, lane_width}, {2, lane_width},
+      {4, lane_width}};
+  for (const auto& [workers, width] : shapes) {
+    BatchEngineConfig config = engine_config(workers, 32);
     config.block_frames = width;
     BatchEngine engine(batched_factory(code), config);
     const auto results = engine.decode_batch(frames);
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t f = 0; f < results.size(); ++f) {
-      EXPECT_EQ(results[f].iterations, reference[f].iterations) << f;
-      EXPECT_EQ(results[f].converged, reference[f].converged) << f;
-      EXPECT_EQ(results[f].hard_bits, reference[f].hard_bits) << f;
+      const std::string ctx = "workers=" + std::to_string(workers) +
+                              " block=" + std::to_string(width) +
+                              " frame=" + std::to_string(f);
+      EXPECT_EQ(results[f].iterations, reference[f].iterations) << ctx;
+      EXPECT_EQ(results[f].converged, reference[f].converged) << ctx;
+      EXPECT_EQ(results[f].status, reference[f].status) << ctx;
+      EXPECT_EQ(results[f].hard_bits, reference[f].hard_bits) << ctx;
     }
     const auto m = engine.metrics();
     EXPECT_EQ(m.jobs_completed, frames.size());
