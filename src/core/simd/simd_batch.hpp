@@ -137,6 +137,8 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
                              ///< as 0 — see r_keep in SimdBatchLayerPass)
   AlignedVec<std::uint64_t> signs_;   ///< per-row lane sign masks
   AlignedVec<std::uint64_t> words_;   ///< retiring lanes' hard-bit words
+  AlignedVec<std::uint64_t> check_rows_;  ///< one layer's z unsatisfied-
+                                          ///< lane words (parity scratch)
   std::vector<std::uint32_t> loading_;   ///< lanes claimed at this boundary
   std::vector<std::uint32_t> retiring_;  ///< lanes retired at this boundary
   std::vector<Lane> lane_;

@@ -7,9 +7,9 @@
 // (row + shift) % z gather collapses into two memcpys, mirroring the
 // barrel shifter), after which every message update is a vertical lane
 // operation. The kernels implement exactly the scalar row-kernel
-// arithmetic — Q = P - R on the rails, min1/min2/pos1/sign tracking via
-// compare/blend, the magnitude correction, R'/P' write-back — and are
-// asserted bit-identical to the scalar decoders in
+// arithmetic — Q = P - R on the rails, min1/min2/sign tracking via min/max
+// and XOR (no pos1: see check_row), the magnitude correction, R'/P'
+// write-back — and are asserted bit-identical to the scalar decoders in
 // tests/simd_equivalence_test.cpp and tests/simd_fa_equivalence_test.cpp.
 //
 // Two message families share the kernels (simd_kernel_impl.hpp: one

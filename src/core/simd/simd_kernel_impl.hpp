@@ -20,11 +20,14 @@
 // int16 only (num/16 correction):
 //   srl<k>/sll<k>     logical shifts by compile-time k
 //   mullo/mulhi       low/high 16 bits of the 32-bit signed product
-// int8, optional:
-//   staircase_add(s, mag, thr, delta)  fused s + ((mag > thr) ? delta : 0)
+// Optional fused forms (a generic composition of the ops above stands in
+// wherever a LaneOps leaves one out):
+//   select_eq(a, b, x, y)              a == b ? x : y
+//   neg_where_negative(s, mag)         s < 0 ? -mag : mag
+//   staircase_add(s, mag, thr, delta)  int8: s + ((mag > thr) ? delta : 0)
 //
 // Layering: check_row is one check row of the schedule (stage 1: Q and
-// min1/min2/pos1/sign; stage 2: R' and P'), over a row view that says
+// min1/min2/sign; stage 2: R' and P'), over a row view that says
 // where the row's lanes live, and an arithmetic policy that says what
 // the family's rails, clip predicate and magnitude correction are:
 //
@@ -323,7 +326,37 @@ struct ClipLanes {
   typename Ops::Vec p = Ops::zero();
 };
 
+/// a == b ? x : y per lane. A LaneOps may provide select_eq to fuse the
+/// compare and the blend (AVX-512: one mask compare, one masked blend).
+template <class Ops, class V = typename Ops::Vec>
+inline V select_eq(V a, V b, V x, V y) {
+  if constexpr (requires { Ops::select_eq(a, b, x, y); })
+    return Ops::select_eq(a, b, x, y);
+  else
+    return Ops::blend(Ops::cmpeq(a, b), x, y);
+}
+
+/// s < 0 ? -mag : mag per lane. A LaneOps may provide neg_where_negative
+/// to fuse the sign test and the negation (AVX-512: the sign bits are the
+/// mask of one masked subtract).
+template <class Ops, class V = typename Ops::Vec>
+inline V neg_where_negative(V s, V mag) {
+  if constexpr (requires { Ops::neg_where_negative(s, mag); })
+    return Ops::neg_where_negative(s, mag);
+  else
+    return Ops::blend(Ops::cmpgt(Ops::zero(), s),
+                      Ops::sub(Ops::zero(), mag), mag);
+}
+
 /// One check row of Algorithm 1 for every lane of `at` at once.
+///
+/// The scalar kernels track pos1, the block index of the first strict
+/// minimum, and give block pos1 the second minimum. This body keeps no
+/// pos1: stage 2 gives s2 to every block whose |Q_j| equals min1, s1 to
+/// the rest. That is the same R'. Block pos1 has |Q| == min1 and gets s2
+/// in both. Any other block with |Q_j| == min1 is a second block at the
+/// minimum, so min2 == min1 and s2 == s1. Degree-1 rows never reach the
+/// selection (R' = 0), and from degree 2 on no sentinel survives stage 1.
 template <class Ops, class Arith, bool kCount, class Row>
 inline void check_row(const Arith& ar, const Row& at, std::uint32_t deg,
                       bool degenerate, ClipLanes<Ops>& clips) {
@@ -331,29 +364,28 @@ inline void check_row(const Arith& ar, const Row& at, std::uint32_t deg,
   using V = typename Ops::Vec;
   const V zero = Ops::zero();
   // numeric_limits<T>::max() is the min1/min2 sentinel: every real |Q| on
-  // the int16 rails is strictly smaller. On the int8 rail a first
-  // magnitude of 127 ties it, but with >= 2 in-rail absorbs the (min1,
-  // min2, pos1) triple still equals the scalar kernel's huge-sentinel one:
-  // pos1 = 0 in both.
+  // the int16 rails is strictly smaller. On the int8 rail a magnitude of
+  // 127 ties it, but with >= 2 in-rail magnitudes min1 and min2 are still
+  // the two smallest of them, as in the scalar kernel's huge-sentinel
+  // scan.
   V min1 = Ops::broadcast(std::numeric_limits<T>::max());
   V min2 = min1;
-  V pos1 = zero;
-  V signs = zero;
-  V clip = zero;  // a site's clip mask; written and read only when kCount
+  V signs = zero;  // sign bit: the XOR of every Q's sign bit
+  V clip = zero;   // a site's clip mask; written and read only when kCount
 
-  // Stage 1 (core 1): Q = P - R per block, min1/min2/pos1/sign across the
-  // layer, each lane tracking its own check row's state registers.
+  // Stage 1 (core 1): Q = P - R per block, min1/min2/sign across the
+  // layer, each lane tracking its own check row's state registers. The
+  // compare-free update keeps the two smallest magnitudes: the new min2
+  // is the smaller of the old min2 and the larger of (min1, |Q|).
   for (std::uint32_t j = 0; j < deg; ++j) {
     at.prefetch(j);
     const V q = ar.template sub<kCount>(Ops::load(at.p(j)), at.load_r(j), clip);
     if constexpr (kCount) clips.q = Ops::sub(clips.q, at.live(clip));
     Ops::store(at.q(j), q);
     const V mag = Ops::abs(q);
-    const V lt1 = Ops::cmpgt(min1, mag);  // mag < min1, strict
-    min2 = Ops::blend(lt1, min1, Ops::min(min2, mag));
-    min1 = Ops::blend(lt1, mag, min1);
-    pos1 = Ops::blend(lt1, Ops::broadcast(static_cast<T>(j)), pos1);
-    signs = Ops::xor_(signs, Ops::cmpgt(zero, q));
+    min2 = Ops::min(min2, Ops::max(min1, mag));
+    min1 = Ops::min(min1, mag);
+    signs = Ops::xor_(signs, q);
   }
 
   // The magnitude correction is a pure function of min1/min2, so it
@@ -370,11 +402,10 @@ inline void check_row(const Arith& ar, const Row& at, std::uint32_t deg,
     // Degree < 2: no extrinsic input, R' = 0 before any clamp — the
     // scalar kernels return early, so no clip event either.
     if (!degenerate) {
-      const V eq = Ops::cmpeq(pos1, Ops::broadcast(static_cast<T>(j)));
-      const V mag = Ops::blend(eq, s2, s1);
-      const V neg = Ops::xor_(signs, Ops::cmpgt(zero, q));
+      const V mag = select_eq<Ops>(Ops::abs(q), min1, s2, s1);
+      // signs ^ Q takes Q_j's own sign out of the row product.
       r_new = ar.template limit_r<kCount>(
-          Ops::blend(neg, Ops::sub(zero, mag), mag), clip);
+          neg_where_negative<Ops>(Ops::xor_(signs, q), mag), clip);
       if constexpr (kCount) clips.r = Ops::sub(clips.r, at.live(clip));
     }
     Ops::store(at.r(j), r_new);

@@ -91,8 +91,9 @@ void SimdZLaneDriver<P>::init_geometry() {
   r_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
   p_scratch_.resize(max_deg * z_pad_);
   q_scratch_.resize(max_deg * z_pad_);
-  // pos1 and a row's clip counts are lane values, so the layer degree must
-  // fit the element type — no shipped code comes close to int8's 127.
+  // A row's clip counts are lane values (at most deg events per site), so
+  // the layer degree must fit the element type — no shipped code comes
+  // close to int8's 127.
   force_scalar_ = !msg_.format_fits() ||
                   max_deg > std::numeric_limits<Elem>::max();
 }

@@ -1,7 +1,7 @@
 // Message policies of the SIMD layered decoders.
 //
 // The paper's layered schedule (Algorithm 1) is one algorithm whatever the
-// check-node correction: core 1 forms Q = P - R and min1/min2/pos1/sign,
+// check-node correction: core 1 forms Q = P - R and min1/min2/sign,
 // core 2 writes R' and P'. The SIMD decoders therefore have one driver per
 // vector shape — the z-lane driver (simd_layered.hpp: the z check rows of a
 // layer as lanes) and the batched driver (simd_batch.hpp: one frame per
