@@ -1,27 +1,25 @@
 #!/usr/bin/env bash
 # Interleaved A/B of perfbench: a base git revision against the working tree.
 #
-#   scripts/perf_ab.sh <base-rev> [--seeds N] [--first-seed S] [--seconds T]
-#                      [--workloads "batch_q8 batch_fa4 service_mix"]
-#                      [--dir DIR]
+#   scripts/perf_ab.sh <base-rev> [--seeds N]
 #
 # Exports <base-rev> (git archive) and the working tree (tracked and
-# untracked, non-ignored files, uncommitted edits included) into DIR/base
-# and DIR/head, each built into its own CARGO_TARGET_DIR (DIR/base-target,
-# DIR/head-target). Then, for each seed and workload, it runs
-# `python3 perfbench/run.py` (unchanged) once on each side, the side that
-# goes first alternating from seed to seed. Every run's result line is kept
-# in DIR/results/<side>-<workload>-<seed>.json.
+# untracked, non-ignored files, uncommitted edits included) into a new
+# directory under ${TMPDIR:-/tmp}, and builds each copy into its own
+# CARGO_TARGET_DIR there. Then, for seeds 1..N (default 10) and each
+# workload of BENCHMARK.json, it runs `python3 perfbench/run.py`
+# (unchanged) once on each side at the benchmark's run_seconds, the side
+# that goes first alternating from seed to seed. Every run's result line
+# is kept in results/<side>-<workload>-<seed>.json of that directory; the
+# source copies and build trees are removed on exit.
 #
 # The summary gives, per workload and gated metric (BENCHMARK.json's
 # end-to-end metrics): each side's median and quartiles, the pairs the
 # working tree won, the median per-seed head/base ratio, per-seed `fer`
 # equality and every run that reported `correct: false`.
 #
-# Defaults: 10 seeds from 1, the benchmark's 20-s run length, all three
-# workloads, DIR = a new directory under ${TMPDIR:-/tmp}. One pair of
-# 20-s runs takes ~45 s, so the defaults take ~25 minutes after the two
-# builds. Exit status: 0, or 1 when any run failed or reported
+# One pair of 20-s runs takes ~45 s, so 10 seeds take ~25 minutes after
+# the two builds. Exit status: 0, or 1 when any run failed or reported
 # `correct: false`, 2 on a usage error.
 set -euo pipefail
 
@@ -30,39 +28,25 @@ usage() {
   exit 2
 }
 
-[[ $# -ge 1 ]] || usage
+[[ $# -eq 1 || ($# -eq 3 && $2 == --seeds) ]] || usage
 base_rev=$1
-shift
-seeds=10
-first_seed=1
-seconds=20
-workloads="batch_q8 batch_fa4 service_mix"
-dir=""
-while [[ $# -gt 0 ]]; do
-  [[ $# -ge 2 ]] || usage
-  case $1 in
-    --seeds) seeds=$2 ;;
-    --first-seed) first_seed=$2 ;;
-    --seconds) seconds=$2 ;;
-    --workloads) workloads=$2 ;;
-    --dir) dir=$2 ;;
-    *) usage ;;
-  esac
-  shift 2
-done
-[[ $seeds =~ ^[1-9][0-9]*$ && $first_seed =~ ^[0-9]+$ ]] || usage
+seeds=${3:-10}
+[[ $seeds =~ ^[1-9][0-9]*$ ]] || usage
 
 root=$(git rev-parse --show-toplevel)
 base_sha=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
-[[ -n $dir ]] || dir=$(mktemp -d "${TMPDIR:-/tmp}/perf_ab.XXXXXX")
-mkdir -p "$dir/results"
-dir=$(cd "$dir" && pwd)
+read -r seconds workloads < <(python3 -c '
+import json, sys
+b = json.load(open(sys.argv[1]))
+print(b["run_seconds"], " ".join(w["name"] for w in b["workloads"]))
+' "$root/BENCHMARK.json")
+dir=$(mktemp -d "${TMPDIR:-/tmp}/perf_ab.XXXXXX")
+trap 'rm -rf "$dir/base" "$dir/head" "$dir/base-target" "$dir/head-target"' EXIT
+mkdir -p "$dir/results" "$dir/base" "$dir/head"
 
 echo "perf_ab: base $base_sha, head = working tree of $root" >&2
-echo "perf_ab: $seeds seed(s) from $first_seed, ${seconds}s runs, in $dir" >&2
+echo "perf_ab: seeds 1-$seeds, ${seconds}s runs, results in $dir/results" >&2
 
-rm -rf "$dir/base" "$dir/head"
-mkdir -p "$dir/base" "$dir/head"
 git -C "$root" archive "$base_sha" | tar -x -C "$dir/base"
 # Files deleted in the working tree are still listed as tracked; tar skips
 # them (--ignore-failed-read).
@@ -83,10 +67,9 @@ run() {
     tail -n 1 | grep '^{' >"$out" || true
 }
 
-for ((i = 0; i < seeds; ++i)); do
-  seed=$((first_seed + i))
+for ((seed = 1; seed <= seeds; ++seed)); do
   for workload in $workloads; do
-    if ((i % 2 == 0)); then
+    if ((seed % 2 == 1)); then
       run base "$workload" "$seed"
       run head "$workload" "$seed"
     else
@@ -96,18 +79,18 @@ for ((i = 0; i < seeds; ++i)); do
   done
 done
 
-python3 - "$dir" "$root/BENCHMARK.json" "$first_seed" "$seeds" \
-  $workloads <<'EOF'
+python3 - "$dir" "$root/BENCHMARK.json" "$seeds" <<'EOF'
 import json
 import os
 import statistics
 import sys
 
-dirname, bench_path, first, count = sys.argv[1:5]
-workloads = sys.argv[5:]
-seeds = range(int(first), int(first) + int(count))
+dirname, bench_path, count = sys.argv[1:4]
+seeds = range(1, int(count) + 1)
 with open(bench_path) as f:
-    metrics = json.load(f)["end_to_end"]
+    bench = json.load(f)
+metrics = bench["end_to_end"]
+workloads = [w["name"] for w in bench["workloads"]]
 
 
 def load(side, workload, seed):

@@ -12,10 +12,7 @@
 // the other direction: because masks are all-ones per lane, a bitwise
 // ternary-logic select (0xCA = m ? a : b) replaces the mask-register blend
 // with no conversion at all. sign_mask goes the same way in reverse:
-// vpmovw2m / vpmovb2m read the lane sign bits straight into a mask. The
-// optional fused hooks (select_eq, neg_where_negative, staircase_add) keep
-// their masks in mask registers: one compare or sign-bit move feeds one
-// masked blend, subtract or add, with no vector mask in between.
+// vpmovw2m / vpmovb2m read the lane sign bits straight into a mask.
 #include "core/simd/simd_kernel_impl.hpp"
 
 #ifdef LDPC_SIMD_X86
@@ -81,12 +78,6 @@ struct Avx512Ops<std::int16_t> : Avx512Bits {
   }
   static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
   static std::uint64_t sign_mask(Vec a) { return _mm512_movepi16_mask(a); }
-  static Vec select_eq(Vec a, Vec b, Vec x, Vec y) {
-    return _mm512_mask_blend_epi16(_mm512_cmpeq_epi16_mask(a, b), y, x);
-  }
-  static Vec neg_where_negative(Vec s, Vec mag) {
-    return _mm512_mask_sub_epi16(mag, _mm512_movepi16_mask(s), zero(), mag);
-  }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm512_srli_epi16(a, kShift);
@@ -121,12 +112,6 @@ struct Avx512Ops<std::int8_t> : Avx512Bits {
   }
   static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
   static std::uint64_t sign_mask(Vec a) { return _mm512_movepi8_mask(a); }
-  static Vec select_eq(Vec a, Vec b, Vec x, Vec y) {
-    return _mm512_mask_blend_epi8(_mm512_cmpeq_epi8_mask(a, b), y, x);
-  }
-  static Vec neg_where_negative(Vec s, Vec mag) {
-    return _mm512_mask_sub_epi8(mag, _mm512_movepi8_mask(s), zero(), mag);
-  }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
     // One masked add replaces the generic cmpgt (vpcmpb + vpmovm2b),
     // vpand, vpaddb chain: s + ((mag > thr) ? delta : 0) in two

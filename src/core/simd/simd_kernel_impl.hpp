@@ -20,11 +20,8 @@
 // int16 only (num/16 correction):
 //   srl<k>/sll<k>     logical shifts by compile-time k
 //   mullo/mulhi       low/high 16 bits of the 32-bit signed product
-// Optional fused forms (a generic composition of the ops above stands in
-// wherever a LaneOps leaves one out):
-//   select_eq(a, b, x, y)              a == b ? x : y
-//   neg_where_negative(s, mag)         s < 0 ? -mag : mag
-//   staircase_add(s, mag, thr, delta)  int8: s + ((mag > thr) ? delta : 0)
+// int8, optional:
+//   staircase_add(s, mag, thr, delta)  fused s + ((mag > thr) ? delta : 0)
 //
 // Layering: check_row is one check row of the schedule (stage 1: Q and
 // min1/min2/sign; stage 2: R' and P'), over a row view that says
@@ -326,28 +323,6 @@ struct ClipLanes {
   typename Ops::Vec p = Ops::zero();
 };
 
-/// a == b ? x : y per lane. A LaneOps may provide select_eq to fuse the
-/// compare and the blend (AVX-512: one mask compare, one masked blend).
-template <class Ops, class V = typename Ops::Vec>
-inline V select_eq(V a, V b, V x, V y) {
-  if constexpr (requires { Ops::select_eq(a, b, x, y); })
-    return Ops::select_eq(a, b, x, y);
-  else
-    return Ops::blend(Ops::cmpeq(a, b), x, y);
-}
-
-/// s < 0 ? -mag : mag per lane. A LaneOps may provide neg_where_negative
-/// to fuse the sign test and the negation (AVX-512: the sign bits are the
-/// mask of one masked subtract).
-template <class Ops, class V = typename Ops::Vec>
-inline V neg_where_negative(V s, V mag) {
-  if constexpr (requires { Ops::neg_where_negative(s, mag); })
-    return Ops::neg_where_negative(s, mag);
-  else
-    return Ops::blend(Ops::cmpgt(Ops::zero(), s),
-                      Ops::sub(Ops::zero(), mag), mag);
-}
-
 /// One check row of Algorithm 1 for every lane of `at` at once.
 ///
 /// The scalar kernels track pos1, the block index of the first strict
@@ -402,10 +377,11 @@ inline void check_row(const Arith& ar, const Row& at, std::uint32_t deg,
     // Degree < 2: no extrinsic input, R' = 0 before any clamp — the
     // scalar kernels return early, so no clip event either.
     if (!degenerate) {
-      const V mag = select_eq<Ops>(Ops::abs(q), min1, s2, s1);
+      const V mag = Ops::blend(Ops::cmpeq(Ops::abs(q), min1), s2, s1);
       // signs ^ Q takes Q_j's own sign out of the row product.
+      const V neg = Ops::cmpgt(zero, Ops::xor_(signs, q));
       r_new = ar.template limit_r<kCount>(
-          neg_where_negative<Ops>(Ops::xor_(signs, q), mag), clip);
+          Ops::blend(neg, Ops::sub(zero, mag), mag), clip);
       if constexpr (kCount) clips.r = Ops::sub(clips.r, at.live(clip));
     }
     Ops::store(at.r(j), r_new);

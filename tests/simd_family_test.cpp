@@ -15,9 +15,9 @@
 //     say so (kFaultInjector / kObserver), with scalar-identical results;
 //   * the uncounted row quantizer matches the scalar codes on hostile
 //     LLRs (NaN, infinities, ties, rail-hot values) in both shapes, and
-//     element by element around every half step of the rails;
-//   * frames of one LLR magnitude, where every check row ties at min1,
-//     match the scalar reference in both shapes, counted and uncounted;
+//     element by element around every half step of the rails; frames
+//     of one LLR magnitude, where every check row ties at min1, match
+//     the scalar reference in both shapes;
 //   * the z-lane quantized entry point routes out-of-rail codes to the
 //     scalar twin (kOutOfRailInput) and matches the scalar decode;
 //   * z-lane observer snapshots match the scalar decoder's.
@@ -427,7 +427,12 @@ TYPED_TEST(SimdFamily, BatchedObserverFallsBackPerFrame) {
 TYPED_TEST(SimdFamily, UncountedQuantizerMatchesScalarOnHostileLlrs) {
   // count_saturation = false quantizes through the policy's row quantizer
   // in both shapes; rail-hot, tied, NaN and infinite LLRs must land on the
-  // scalar decoder's codes.
+  // scalar decoder's codes. Three more frames have LLRs of one magnitude
+  // with random signs: a mid-alphabet code, the positive rail (127 also
+  // ties the int8 kernel's min sentinel) and the negative rail (q8.2's
+  // quantizer clips its mirror image to +127). Every check row of those
+  // ties at min1 on the first iteration, where the vector check_row, which
+  // keeps no pos1, must still give the scalar kernels' R'.
   const auto code = make_wifi_648_half_rate();
   std::vector<float> llr = noisy_llr(code, 2.0F, 21);
   for (std::size_t v = 0; v < llr.size(); v += 7) llr[v] *= 100.0F;
@@ -436,26 +441,45 @@ TYPED_TEST(SimdFamily, UncountedQuantizerMatchesScalarOnHostileLlrs) {
   llr[11] = -std::numeric_limits<float>::infinity();
   llr[12] = 0.125F;  // exactly half a q8.2 step: ties round away from zero
   llr[13] = -0.375F;
+  std::vector<std::vector<float>> pool{llr};
+  constexpr float kScale = 4.0F;  // q8.2 codes per LLR unit
+  Xoshiro256 rng(77);
+  for (const std::int32_t m : {TypeParam::kRailHi / 2, TypeParam::kRailHi,
+                               -TypeParam::kRailLo}) {
+    const float mag = static_cast<float>(m) / kScale;
+    std::vector<float>& frame = pool.emplace_back(code.n());
+    for (float& x : frame) x = rng.coin() ? -mag : mag;
+  }
+  ASSERT_EQ(std::abs(TypeParam::quantize(pool[1][0])), TypeParam::kRailHi / 2);
+
   const DecoderOptions opt;  // count_saturation defaults to false
   const auto scalar = TypeParam::scalar(code, opt);
-  const DecodeResult ref = scalar->decode(llr);
-  const SaturationStats ref_sat = scalar->saturation();
+  std::vector<DecodeResult> refs;
+  std::vector<SaturationStats> ref_sat;
+  std::vector<BlockFrame> frames;
+  for (const auto& frame : pool) {
+    refs.push_back(scalar->decode(frame));
+    ref_sat.push_back(scalar->saturation());
+    frames.push_back({frame, nullptr});
+  }
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
     const std::string ctx = std::string("tier=") + simd::to_string(tier);
     const auto lane = TypeParam::zlane(code, opt, tier);
-    const DecodeResult rv = lane->decode(llr);
-    EXPECT_EQ(rv.simd_fallback, SimdFallback::kNone) << ctx;
-    expect_same_decode(ref, ref_sat, rv, lane->saturation(), ctx + " zlane");
+    for (std::size_t f = 0; f < pool.size(); ++f) {
+      const DecodeResult rv = lane->decode(pool[f]);
+      EXPECT_EQ(rv.simd_fallback, SimdFallback::kNone) << ctx;
+      expect_same_decode(refs[f], ref_sat[f], rv, lane->saturation(),
+                         ctx + " zlane frame=" + std::to_string(f));
+    }
 
     const auto batched = TypeParam::batched(code, opt, tier);
-    const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
-    std::vector<DecodeResult> results(2);
-    std::vector<SaturationStats> saturation(2);
+    std::vector<DecodeResult> results(frames.size());
+    std::vector<SaturationStats> saturation(frames.size());
     batched->decode_block(frames, results, saturation);
-    for (std::size_t f = 0; f < 2; ++f) {
+    for (std::size_t f = 0; f < frames.size(); ++f) {
       EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
-      expect_same_decode(ref, ref_sat, results[f], saturation[f],
+      expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f],
                          ctx + " batched frame=" + std::to_string(f));
     }
   }
@@ -555,66 +579,6 @@ TYPED_TEST(SimdFamily, DegreeOneLayerMatchesScalarInBothShapes) {
       EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
       expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f],
                          ctx + " batched frame=" + std::to_string(f));
-    }
-  }
-}
-
-// ------------------------------------------------------------ min ties ----
-
-TYPED_TEST(SimdFamily, SingleMagnitudeFramesTieAtMin1InBothShapes) {
-  // The vector check_row keeps no pos1: it gives the second minimum to
-  // every block whose |Q| equals min1, which matches the scalar kernels'
-  // pos1 choice only because a tie at min1 forces min2 == min1. Frames
-  // whose LLRs all have one magnitude (random signs) make every check row
-  // tie at min1 on the first iteration: a mid-alphabet code, the positive
-  // rail (127 also ties the int8 kernel's min sentinel) and the negative
-  // rail (q8.2's quantizer clips its mirror image to +127).
-  const auto code = make_wifi_648_half_rate();  // z = 27: pad lanes too
-  constexpr float kScale = 4.0F;                // q8.2 codes per LLR unit
-  const float magnitudes[] = {
-      static_cast<float>(TypeParam::kRailHi / 2) / kScale,
-      static_cast<float>(TypeParam::kRailHi) / kScale,
-      static_cast<float>(-TypeParam::kRailLo) / kScale};
-  Xoshiro256 rng(77);
-  std::vector<std::vector<float>> pool;
-  for (const float m : magnitudes) {
-    pool.emplace_back(code.n());
-    for (float& llr : pool.back()) llr = rng.coin() ? -m : m;
-  }
-  ASSERT_EQ(std::abs(TypeParam::quantize(pool[0][0])), TypeParam::kRailHi / 2);
-
-  for (const DecoderOptions& opt : {counting_options(), DecoderOptions{}}) {
-    const std::string mode = opt.count_saturation ? "counted" : "uncounted";
-    const auto scalar = TypeParam::scalar(code, opt);
-    std::vector<DecodeResult> refs;
-    std::vector<SaturationStats> ref_sat;
-    for (const auto& llr : pool) {
-      refs.push_back(scalar->decode(llr));
-      ref_sat.push_back(scalar->saturation());
-    }
-
-    for (const simd::SimdTier tier : simd::available_tiers()) {
-      const std::string ctx =
-          mode + " tier=" + std::string(simd::to_string(tier));
-      const auto lane = TypeParam::zlane(code, opt, tier);
-      for (std::size_t f = 0; f < pool.size(); ++f) {
-        const DecodeResult rv = lane->decode(pool[f]);
-        EXPECT_EQ(rv.simd_fallback, SimdFallback::kNone) << ctx;
-        expect_same_decode(refs[f], ref_sat[f], rv, lane->saturation(),
-                           ctx + " zlane frame=" + std::to_string(f));
-      }
-
-      const auto batched = TypeParam::batched(code, opt, tier);
-      std::vector<BlockFrame> frames;
-      for (const auto& llr : pool) frames.push_back({llr, nullptr});
-      std::vector<DecodeResult> results(frames.size());
-      std::vector<SaturationStats> saturation(frames.size());
-      batched->decode_block(frames, results, saturation);
-      for (std::size_t f = 0; f < frames.size(); ++f) {
-        EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
-        expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f],
-                           ctx + " batched frame=" + std::to_string(f));
-      }
     }
   }
 }
