@@ -16,11 +16,14 @@
 # The summary gives, per workload and gated metric (BENCHMARK.json's
 # end-to-end metrics): each side's median and quartiles, the pairs the
 # working tree won, the median per-seed head/base ratio, per-seed `fer`
-# equality and every run that reported `correct: false`.
+# equality, every run that reported `correct: false`, and a bound verdict:
+# whether the head median is worse than the base median by more than the
+# metric's `bound` (a relative change: 0.25 = 25%).
 #
 # One pair of 20-s runs takes ~45 s, so 10 seeds take ~25 minutes after
 # the two builds. Exit status: 0, or 1 when any run failed or reported
-# `correct: false`, 2 on a usage error.
+# `correct: false` or a head median is worse beyond its bound, 2 on a
+# usage error.
 set -euo pipefail
 
 usage() {
@@ -145,6 +148,23 @@ for workload in workloads:
             print("  %-20s per-seed fer %s" % (
                 "", "identical on every seed" if not diff
                 else "DIFFERS on seeds %s" % diff))
+        # Relative change of the head median in the metric's worse
+        # direction; any rise from a zero base counts as beyond the bound.
+        b_med, h_med = bq[1], hq[1]
+        if b_med != 0:
+            worse_by = (b_med - h_med if higher else h_med - b_med) / abs(b_med)
+        else:
+            worse_by = float("inf") if (h_med < 0 if higher else h_med > 0) \
+                else 0.0
+        beyond = worse_by > m["bound"]
+        print("  %-20s bound %g: head median %s, %s" % (
+            "", m["bound"],
+            "unchanged" if worse_by == 0 else "%s by %.1f%%" % (
+                "worse" if worse_by > 0 else "better", abs(worse_by) * 100),
+            "BEYOND BOUND" if beyond else "within bound"))
+        if beyond:
+            bad.append("%s %s: head median %.6g worse than base %.6g beyond "
+                       "bound %g" % (workload, name, h_med, b_med, m["bound"]))
 for line in bad:
     print("FAILED: " + line)
 sys.exit(1 if bad else 0)

@@ -90,6 +90,12 @@ void SimdBatchDriver<P>::decode_block(std::span<const BlockFrame> frames,
   LDPC_CHECK(results.size() == frames.size());
   LDPC_CHECK(saturation.size() == frames.size());
   for (const BlockFrame& f : frames) LDPC_CHECK(f.llr.size() == code_.n());
+  // A lone frame takes the z-lane kernel, not one live lane of the batched
+  // one; that is the per-frame path, not a fallback.
+  if (frames.size() == 1) {
+    Decoder::decode_block(frames, results, saturation);
+    return;
+  }
 
   SimdFallback reason = this->config_fallback();
   // The observer contract is one snapshot per iteration of one frame;

@@ -84,6 +84,7 @@ class SimdBatchDriver : public SimdZLaneDriver<P> {
 
   // Single-frame decode() is the inherited z-lane path: with one frame
   // there is nothing to batch, and the z-lane kernel is the faster shape.
+  // A one-frame decode_block takes the same path, with no fallback reason.
 
   void decode_block(std::span<const BlockFrame> frames,
                     std::span<DecodeResult> results,

@@ -61,40 +61,64 @@ BatchEngine::~BatchEngine() {
   }
 }
 
-BatchEngine::Job BatchEngine::make_job(std::size_t frame_index,
-                                       std::vector<float>&& llr,
-                                       DecodeResult* slot, Task&& task,
-                                       const JobOptions& options) {
+BatchEngine::Job BatchEngine::make_task_job(std::size_t frame_index,
+                                            Task&& task, DecodeResult* slot,
+                                            const JobOptions& options) {
   Job job;
-  job.frame_index = frame_index;
-  job.llr = std::move(llr);
-  job.slot = slot;
   job.task = std::move(task);
-  job.deadline = options.deadline;
+  job.frames.push_back(BlockFrameJob{frame_index, {}, slot, options.deadline});
   job.rung = options.rung;
-  job.enqueued = std::chrono::steady_clock::now();
   return job;
 }
 
-void BatchEngine::record_submit(std::size_t frame_index) {
-  const MutexLock lock(state_mutex_);
-  if (!started_) {
-    started_ = true;
-    first_enqueue_ = std::chrono::steady_clock::now();
+SubmitStatus BatchEngine::enqueue(Job&& job, bool forced) {
+  // Kept aside before the move: a refused push must back every frame out.
+  std::vector<std::size_t> indices;
+  indices.reserve(job.frames.size());
+  for (const BlockFrameJob& f : job.frames) indices.push_back(f.frame_index);
+  const auto unrecord = [&] {
+    const MutexLock lock(state_mutex_);
+    for (const std::size_t index : indices) {
+      --submitted_;
+      ++jobs_rejected_;
+      const auto it = outstanding_.find(index);
+      if (it != outstanding_.end() && --it->second == 0) outstanding_.erase(it);
+    }
+    // A concurrent drain() may have been waiting on the frames just backed
+    // out; re-evaluate its predicate.
+    if (completed_ == submitted_) all_done_.notify_all();
+  };
+  {
+    const MutexLock lock(state_mutex_);
+    job.enqueued = std::chrono::steady_clock::now();
+    if (!started_) {
+      started_ = true;
+      first_enqueue_ = job.enqueued;
+    }
+    submitted_ += indices.size();
+    for (const std::size_t index : indices) ++outstanding_[index];
   }
-  ++submitted_;
-  ++outstanding_[frame_index];
-}
-
-void BatchEngine::unrecord_submit(std::size_t frame_index, bool rejected) {
-  const MutexLock lock(state_mutex_);
-  --submitted_;
-  if (rejected) ++jobs_rejected_;
-  const auto it = outstanding_.find(frame_index);
-  if (it != outstanding_.end() && --it->second == 0) outstanding_.erase(it);
-  // A concurrent drain() may have been waiting on the job that was just
-  // backed out; re-evaluate its predicate.
-  if (completed_ == submitted_) all_done_.notify_all();
+  if (forced) {
+    if (queue_.push_forced(std::move(job))) return SubmitStatus::kAccepted;
+    unrecord();
+    return SubmitStatus::kRejectedClosed;
+  }
+  Job shed;
+  switch (queue_.push(std::move(job), &shed)) {
+    case BoundedJobQueue<Job>::PushResult::kClosed:
+      unrecord();
+      return SubmitStatus::kRejectedClosed;
+    case BoundedJobQueue<Job>::PushResult::kRejected:
+      unrecord();
+      return SubmitStatus::kRejectedQueueFull;
+    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
+      // The evicted queue entry may be of either kind.
+      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
+      return SubmitStatus::kAcceptedShedOldest;
+    case BoundedJobQueue<Job>::PushResult::kAccepted:
+      break;
+  }
+  return SubmitStatus::kAccepted;
 }
 
 void BatchEngine::finish_job_locked(
@@ -107,27 +131,14 @@ void BatchEngine::finish_job_locked(
 }
 
 void BatchEngine::complete_undecoded(Job&& job, DecodeStatus status) {
-  const auto write_slot = [status](DecodeResult* slot) {
-    if (!slot) return;
-    DecodeResult result;
-    result.status = status;
-    *slot = result;
-  };
-  if (job.block.empty()) {
-    write_slot(job.slot);
-    const auto now = std::chrono::steady_clock::now();
-    const MutexLock lock(state_mutex_);
-    if (status == DecodeStatus::kShedOverload) ++jobs_shed_;
-    if (status == DecodeStatus::kDeadlineExpired) ++jobs_expired_;
-    finish_job_locked(job.frame_index, now);
-    return;
-  }
-  // A shed block job resolves every one of its frames — a frame that
-  // silently vanished would wedge drain() forever.
-  for (const BlockFrameJob& frame : job.block) write_slot(frame.slot);
+  DecodeResult undecoded;
+  undecoded.status = status;
   const auto now = std::chrono::steady_clock::now();
   const MutexLock lock(state_mutex_);
-  for (const BlockFrameJob& frame : job.block) {
+  // Every frame resolves — a frame that silently vanished would wedge
+  // drain() forever.
+  for (const BlockFrameJob& frame : job.frames) {
+    if (frame.slot) *frame.slot = undecoded;
     if (status == DecodeStatus::kShedOverload) ++jobs_shed_;
     if (status == DecodeStatus::kDeadlineExpired) ++jobs_expired_;
     finish_job_locked(frame.frame_index, now);
@@ -137,104 +148,33 @@ void BatchEngine::complete_undecoded(Job&& job, DecodeStatus status) {
 SubmitStatus BatchEngine::submit(std::size_t frame_index,
                                  std::vector<float> llr, DecodeResult* slot,
                                  JobOptions options) {
-  LDPC_CHECK(slot != nullptr);
-  record_submit(frame_index);
-  Job shed;
-  switch (queue_.push(make_job(frame_index, std::move(llr), slot, {}, options),
-                      &shed)) {
-    case BoundedJobQueue<Job>::PushResult::kClosed:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedClosed;
-    case BoundedJobQueue<Job>::PushResult::kRejected:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedQueueFull;
-    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
-      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
-      return SubmitStatus::kAcceptedShedOldest;
-    case BoundedJobQueue<Job>::PushResult::kAccepted:
-      break;
-  }
-  return SubmitStatus::kAccepted;
-}
-
-bool BatchEngine::try_submit(std::size_t frame_index, std::vector<float>& llr,
-                             DecodeResult* slot, JobOptions options) {
-  LDPC_CHECK(slot != nullptr);
-  record_submit(frame_index);
-  Job job = make_job(frame_index, std::move(llr), slot, {}, options);
-  if (!queue_.try_push(job)) {
-    llr = std::move(job.llr);  // hand the frame back to the caller
-    unrecord_submit(frame_index, /*rejected=*/false);
-    return false;
-  }
-  return true;
+  std::vector<BlockFrameJob> frame(1);
+  frame[0] = {frame_index, std::move(llr), slot, options.deadline};
+  return submit_block(std::move(frame), options.rung);
 }
 
 SubmitStatus BatchEngine::submit_task(std::size_t frame_index, Task task,
                                       JobOptions options, DecodeResult* slot) {
   LDPC_CHECK(task != nullptr);
-  record_submit(frame_index);
-  Job shed;
-  switch (queue_.push(make_job(frame_index, {}, slot, std::move(task), options),
-                      &shed)) {
-    case BoundedJobQueue<Job>::PushResult::kClosed:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedClosed;
-    case BoundedJobQueue<Job>::PushResult::kRejected:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedQueueFull;
-    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
-      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
-      return SubmitStatus::kAcceptedShedOldest;
-    case BoundedJobQueue<Job>::PushResult::kAccepted:
-      break;
-  }
-  return SubmitStatus::kAccepted;
+  return enqueue(make_task_job(frame_index, std::move(task), slot, options));
 }
 
 SubmitStatus BatchEngine::submit_block(std::vector<BlockFrameJob> frames,
                                        unsigned rung) {
   LDPC_CHECK_MSG(!frames.empty(), "submit_block needs >= 1 frame");
   for (const BlockFrameJob& f : frames) LDPC_CHECK(f.slot != nullptr);
-  // Kept aside before the move: a rejected push must unrecord every frame.
-  std::vector<std::size_t> indices;
-  indices.reserve(frames.size());
-  for (const BlockFrameJob& f : frames) {
-    indices.push_back(f.frame_index);
-    record_submit(f.frame_index);
-  }
   Job job;
+  job.frames = std::move(frames);
   job.rung = rung;
-  job.enqueued = std::chrono::steady_clock::now();
-  job.block = std::move(frames);
-  Job shed;
-  switch (queue_.push(std::move(job), &shed)) {
-    case BoundedJobQueue<Job>::PushResult::kClosed:
-      for (const std::size_t i : indices) unrecord_submit(i, /*rejected=*/true);
-      return SubmitStatus::kRejectedClosed;
-    case BoundedJobQueue<Job>::PushResult::kRejected:
-      for (const std::size_t i : indices) unrecord_submit(i, /*rejected=*/true);
-      return SubmitStatus::kRejectedQueueFull;
-    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
-      // The evicted queue entry may itself be a block.
-      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
-      return SubmitStatus::kAcceptedShedOldest;
-    case BoundedJobQueue<Job>::PushResult::kAccepted:
-      break;
-  }
-  return SubmitStatus::kAccepted;
+  return enqueue(std::move(job));
 }
 
 bool BatchEngine::submit_retry(std::size_t frame_index, Task task,
                                JobOptions options, DecodeResult* slot) {
   LDPC_CHECK(task != nullptr);
-  record_submit(frame_index);
-  if (!queue_.push_forced(
-          make_job(frame_index, {}, slot, std::move(task), options))) {
-    unrecord_submit(frame_index, /*rejected=*/true);
-    return false;
-  }
-  return true;
+  return submit_accepted(enqueue(
+      make_task_job(frame_index, std::move(task), slot, options),
+      /*forced=*/true));
 }
 
 void BatchEngine::drain() {
@@ -266,26 +206,21 @@ std::vector<DecodeResult> BatchEngine::decode_batch(
     const std::vector<std::vector<float>>& frames) {
   // Sized up front: slots must not move while jobs are in flight.
   std::vector<DecodeResult> results(frames.size());
-  const std::size_t bw = std::max<std::size_t>(config_.block_frames, 1);
-  if (bw > 1) {
-    for (std::size_t base = 0; base < frames.size(); base += bw) {
-      const std::size_t count = std::min(bw, frames.size() - base);
-      std::vector<BlockFrameJob> block(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        block[i].frame_index = base + i;
-        block[i].llr = frames[base + i];
-        block[i].slot = &results[base + i];
-      }
-      const SubmitStatus s = submit_block(std::move(block));
-      LDPC_CHECK_MSG(submit_accepted(s),
-                     "decode_batch submit failed: " << to_string(s));
+  const std::size_t width = std::max<std::size_t>(config_.block_frames, 1);
+  for (std::size_t base = 0; base < frames.size(); base += width) {
+    const std::size_t count = std::min(width, frames.size() - base);
+    std::vector<BlockFrameJob> block(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      block[i].frame_index = base + i;
+      block[i].llr = frames[base + i];
+      block[i].slot = &results[base + i];
     }
-  } else {
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const SubmitStatus s = submit(i, frames[i], &results[i]);
-      LDPC_CHECK_MSG(submit_accepted(s),
-                     "decode_batch submit failed: " << to_string(s));
-    }
+    const SubmitStatus s = submit_block(std::move(block));
+    // The frames already accepted write into `results`: let them finish
+    // before the throw destroys it.
+    if (!submit_accepted(s)) drain();
+    LDPC_CHECK_MSG(submit_accepted(s),
+                   "decode_batch submit failed: " << to_string(s));
   }
   drain();
   return results;
@@ -314,80 +249,87 @@ void BatchEngine::worker_main(unsigned worker_id) {
   Job job;
   while (queue_.pop(job)) {
     bool retire = false;
-    if (!job.block.empty()) {
+    if (!job.task) {
       run_block_job(worker_id, job, decoder_for(job.rung), cancel, &retire);
-      job = Job{};
+      job = Job{};  // release the frame buffers before blocking on the queue
       if (retire) return;
       continue;
     }
-    // A queued job whose deadline already passed is completed without
-    // touching a decoder — but only when the engine owns a result slot to
-    // report through; a slotless task must still run (with the token
-    // pre-expired, so a cancellation-aware decode bails at its first poll).
-    if (job.deadline && job.slot &&
-        std::chrono::steady_clock::now() >= *job.deadline) {
+    const BlockFrameJob& frame = job.frames.front();
+    // A queued task whose deadline already passed is completed without
+    // running — but only when the engine owns a result slot to report
+    // through; a slotless task must still run (with the token pre-expired,
+    // so a cancellation-aware decode bails at its first poll).
+    if (frame.deadline && frame.slot &&
+        std::chrono::steady_clock::now() >= *frame.deadline) {
       complete_undecoded(std::move(job), DecodeStatus::kDeadlineExpired);
       job = Job{};
       continue;
     }
     cancel.clear();
-    if (job.deadline) cancel.arm_deadline(*job.deadline);
+    if (frame.deadline) cancel.arm_deadline(*frame.deadline);
 
     Decoder& decoder = decoder_for(job.rung);
     DecodeResult result;
     bool failed = false;
     try {
-      result = job.task ? job.task(decoder) : decoder.decode(job.llr);
+      // Task jobs own their result delivery (a retry layer may already
+      // have the *next* attempt in flight by the time the task returns —
+      // writing the slot here would race with it).
+      result = job.task(decoder);
     } catch (...) {
-      // A throwing decode must not take the worker (and every queued job
-      // behind it) down; it is surfaced as EngineWorkerStats::exceptions
-      // and the slot keeps its default (non-converged) DecodeResult.
+      // A throwing task must not take the worker (and every queued job
+      // behind it) down; it is surfaced as EngineWorkerStats::exceptions.
       failed = true;
     }
     const auto now = std::chrono::steady_clock::now();
-    const std::size_t iterations = result.iterations;
-    const DecodeStatus status = result.status;
-    const bool converged = status == DecodeStatus::kConverged;
-    const SimdFallback fallback = result.simd_fallback;
-    // Task jobs own their result delivery (a retry layer may already have
-    // the *next* attempt in flight by the time the task returns — writing
-    // the slot here would race with it); the engine writes task-job slots
-    // only for jobs it completed without running (expired / shed).
-    if (!failed && job.slot && !job.task) *job.slot = std::move(result);
-
-    const SaturationStats sat = decoder.saturation();
+    const SaturationStats saturation = decoder.saturation();
     {
       const MutexLock lock(state_mutex_);
       EngineWorkerStats& stats = worker_stats_[worker_id];
-      ++stats.jobs;
       if (failed) {
         ++stats.exceptions;
-      } else {
-        stats.sum_iterations += iterations;
-        stats.status_counts[static_cast<std::size_t>(status)] += 1;
-        if (converged) ++stats.early_terminations;
-        if (fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
-        stats.saturation.quantizer_clips += sat.quantizer_clips;
-        stats.saturation.datapath_clips += sat.datapath_clips;
-        stats.saturation.q_clips += sat.q_clips;
-        stats.saturation.r_clips += sat.r_clips;
-        stats.saturation.p_clips += sat.p_clips;
-        stats.saturation.degenerate_checks += sat.degenerate_checks;
-        decoded_bits_ += decoder.n();
-        decoded_info_bits_ += decoder.k();
-      }
-      if (failed || status == DecodeStatus::kFaultDetected ||
-          status == DecodeStatus::kWatchdogAbort)
         ++stats.strikes;
-      retire = maybe_quarantine_locked(worker_id);
-      record_latency_locked(
+      }
+      book_frame_locked(
+          stats, frame.frame_index, failed ? nullptr : &result, saturation,
+          decoder,
           std::chrono::duration<double, std::micro>(now - job.enqueued)
-              .count());
-      finish_job_locked(job.frame_index, now);
+              .count(),
+          now);
+      retire = maybe_quarantine_locked(worker_id);
     }
-    job = Job{};  // release the frame buffer before blocking on the queue
+    job = Job{};
     if (retire) return;
   }
+}
+
+void BatchEngine::book_frame_locked(EngineWorkerStats& stats,
+                                    std::size_t frame_index,
+                                    const DecodeResult* result,
+                                    const SaturationStats& saturation,
+                                    const Decoder& decoder, double latency_us,
+                                    std::chrono::steady_clock::time_point now) {
+  ++stats.jobs;
+  if (result) {
+    stats.sum_iterations += result->iterations;
+    stats.status_counts[static_cast<std::size_t>(result->status)] += 1;
+    if (result->status == DecodeStatus::kConverged) ++stats.early_terminations;
+    if (result->simd_fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
+    if (result->status == DecodeStatus::kFaultDetected ||
+        result->status == DecodeStatus::kWatchdogAbort)
+      ++stats.strikes;
+    stats.saturation.quantizer_clips += saturation.quantizer_clips;
+    stats.saturation.datapath_clips += saturation.datapath_clips;
+    stats.saturation.q_clips += saturation.q_clips;
+    stats.saturation.r_clips += saturation.r_clips;
+    stats.saturation.p_clips += saturation.p_clips;
+    stats.saturation.degenerate_checks += saturation.degenerate_checks;
+    decoded_bits_ += decoder.n();
+    decoded_info_bits_ += decoder.k();
+  }
+  record_latency_locked(latency_us);
+  finish_job_locked(frame_index, now);
 }
 
 bool BatchEngine::maybe_quarantine_locked(unsigned worker_id) {
@@ -411,12 +353,12 @@ bool BatchEngine::maybe_quarantine_locked(unsigned worker_id) {
 void BatchEngine::run_block_job(unsigned worker_id, Job& job, Decoder& decoder,
                                 CancelToken& worker_token, bool* retire) {
   const auto pop_time = std::chrono::steady_clock::now();
-  // Frames already past their deadline complete without decoding, exactly
-  // like an expired scalar job at pop; the rest share one decode_block.
+  // Frames already past their deadline complete without decoding; the rest
+  // share one decode_block.
   std::vector<BlockFrameJob*> runnable;
-  runnable.reserve(job.block.size());
+  runnable.reserve(job.frames.size());
   std::vector<std::size_t> expired;
-  for (BlockFrameJob& frame : job.block) {
+  for (BlockFrameJob& frame : job.frames) {
     if (frame.deadline && pop_time >= *frame.deadline) {
       DecodeResult result;
       result.status = DecodeStatus::kDeadlineExpired;
@@ -450,7 +392,7 @@ void BatchEngine::run_block_job(unsigned worker_id, Job& job, Decoder& decoder,
       failed = true;
     }
     // decode_block detaches whatever token the per-frame ones replaced;
-    // re-attach this worker's own so later scalar jobs keep deadlines.
+    // re-attach this worker's own so later task jobs keep deadlines.
     decoder.set_cancel_token(&worker_token);
   }
   const auto now = std::chrono::steady_clock::now();
@@ -466,31 +408,14 @@ void BatchEngine::run_block_job(unsigned worker_id, Job& job, Decoder& decoder,
     ++jobs_expired_;
     finish_job_locked(index, now);
   }
-  if (failed) ++stats.exceptions;
-  for (std::size_t i = 0; i < runnable.size(); ++i) {
-    ++stats.jobs;
-    if (!failed) {
-      const DecodeResult& res = *runnable[i]->slot;
-      stats.sum_iterations += res.iterations;
-      stats.status_counts[static_cast<std::size_t>(res.status)] += 1;
-      if (res.status == DecodeStatus::kConverged) ++stats.early_terminations;
-      if (res.simd_fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
-      stats.saturation.quantizer_clips += sats[i].quantizer_clips;
-      stats.saturation.datapath_clips += sats[i].datapath_clips;
-      stats.saturation.q_clips += sats[i].q_clips;
-      stats.saturation.r_clips += sats[i].r_clips;
-      stats.saturation.p_clips += sats[i].p_clips;
-      stats.saturation.degenerate_checks += sats[i].degenerate_checks;
-      decoded_bits_ += decoder.n();
-      decoded_info_bits_ += decoder.k();
-      if (res.status == DecodeStatus::kFaultDetected ||
-          res.status == DecodeStatus::kWatchdogAbort)
-        ++stats.strikes;
-    }
-    record_latency_locked(latency_us);
-    finish_job_locked(runnable[i]->frame_index, now);
+  if (failed) {
+    ++stats.exceptions;
+    ++stats.strikes;
   }
-  if (failed) ++stats.strikes;
+  for (std::size_t i = 0; i < runnable.size(); ++i)
+    book_frame_locked(stats, runnable[i]->frame_index,
+                      failed ? nullptr : runnable[i]->slot, sats[i], decoder,
+                      latency_us, now);
   *retire = maybe_quarantine_locked(worker_id);
 }
 

@@ -7,6 +7,11 @@
 // policy (block / reject-newest / shed-oldest) is the backpressure or
 // admission-control mechanism.
 //
+// A queue entry is one of two job kinds: a task (arbitrary work on the
+// worker's decoder) or a block of frames, decoded in one
+// Decoder::decode_block call. A per-frame submit is a one-frame block, so
+// every frame takes the same path and the same accounting.
+//
 // Service-grade extras on top of the plain pool:
 //   * per-job deadlines — a job that expires while queued is completed with
 //     DecodeStatus::kDeadlineExpired without touching a decoder, and a
@@ -83,7 +88,7 @@ struct BatchEngineConfig {
   /// Frames per block for decode_batch(): values > 1 group consecutive
   /// frames into block jobs so an inter-frame-batched decoder
   /// (Decoder::block_width() > 1) keeps every SIMD lane full. 0 and 1 both
-  /// mean per-frame jobs. Deadlines, cancellation, and the determinism
+  /// mean one-frame blocks. Deadlines, cancellation, and the determinism
   /// contract are unchanged — each frame still resolves exactly once into
   /// its own slot; only queue granularity (and therefore shed/occupancy
   /// granularity) becomes the block.
@@ -243,20 +248,15 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// Submit one decode job. `*slot` receives the result when the job
+  /// Submit one frame: a one-frame block (submit_block) with the options'
+  /// deadline and rung. `*slot` receives the result when the job
   /// completes; it must stay valid until drain() returns and must be unique
   /// per job (slot-per-frame-index is the determinism contract). Blocks
   /// while the queue is full under kBlock; never blocks under the other
-  /// overload policies. The caller must handle rejection (the LLR frame is
-  /// consumed only when the submit is accepted).
+  /// overload policies. The caller must handle rejection.
   [[nodiscard]] SubmitStatus submit(std::size_t frame_index,
                                     std::vector<float> llr, DecodeResult* slot,
                                     JobOptions options = {});
-
-  /// Non-blocking submit: false (llr left intact) when the queue is full.
-  /// Policy-independent — never sheds and never counts as a rejection.
-  bool try_submit(std::size_t frame_index, std::vector<float>& llr,
-                  DecodeResult* slot, JobOptions options = {});
 
   /// Submit an arbitrary task (the BER harness submits whole
   /// generate-transmit-decode-score frames). The task owns delivering its
@@ -306,9 +306,10 @@ class BatchEngine {
   }
 
   /// Synchronous convenience wrapper: decode `frames`, return results in
-  /// input order. Equivalent to submit-all + drain. When
-  /// config.block_frames > 1, consecutive frames are grouped into
-  /// submit_block calls of that size (final block ragged).
+  /// input order. Consecutive frames are grouped into submit_block calls of
+  /// max(config.block_frames, 1) frames (final block ragged), then drained.
+  /// A refused submit throws ldpc::Error once the frames already accepted
+  /// have completed.
   std::vector<DecodeResult> decode_batch(
       const std::vector<std::vector<float>>& frames);
 
@@ -322,41 +323,47 @@ class BatchEngine {
   /// both together).
   EngineMetrics snapshot() const LDPC_EXCLUDES(state_mutex_);
 
-  /// Back-compat alias for snapshot().
-  EngineMetrics metrics() const { return snapshot(); }
-
   unsigned num_workers() const { return config_.num_workers; }
 
  private:
+  /// One queue entry. A task job carries its frame index, optional slot
+  /// and deadline as a single frame with empty LLRs; a frame job is a
+  /// block of one or more frames decoded in one decode_block call.
   struct Job {
-    std::size_t frame_index = 0;
-    std::vector<float> llr;
-    DecodeResult* slot = nullptr;
-    Task task;  ///< when set, runs instead of decoder.decode(llr)
-    std::optional<std::chrono::steady_clock::time_point> deadline;
+    Task task;  ///< set: a task job
+    std::vector<BlockFrameJob> frames;
     unsigned rung = 0;
     std::chrono::steady_clock::time_point enqueued;
-    /// Non-empty: this is a block job (one decode_block call); the scalar
-    /// fields above except rung/enqueued are unused.
-    std::vector<BlockFrameJob> block;
   };
 
   void worker_main(unsigned worker_id);
-  /// Run a block job on this worker's decoder: expired frames complete at
+  /// Run a frame job on this worker's decoder: expired frames complete at
   /// pop, the rest decode in one decode_block call with per-frame cancel
   /// tokens, and every frame's stats/latency/slot resolve exactly once.
   void run_block_job(unsigned worker_id, Job& job, Decoder& decoder,
                      CancelToken& worker_token, bool* retire)
       LDPC_EXCLUDES(state_mutex_);
-  Job make_job(std::size_t frame_index, std::vector<float>&& llr,
-               DecodeResult* slot, Task&& task, const JobOptions& options);
-  void record_submit(std::size_t frame_index) LDPC_EXCLUDES(state_mutex_);
-  void unrecord_submit(std::size_t frame_index, bool rejected)
+  Job make_task_job(std::size_t frame_index, Task&& task, DecodeResult* slot,
+                    const JobOptions& options);
+  /// The one enqueue path: record every frame of `job` as submitted, push
+  /// it (capacity-exempt when `forced`), then back the frames out of a
+  /// refused push or complete the job a shed push evicted.
+  SubmitStatus enqueue(Job&& job, bool forced = false)
       LDPC_EXCLUDES(state_mutex_);
-  /// Complete a job that never reached a decoder (expired / shed).
+  /// Complete every frame of a job that never reached a decoder (expired /
+  /// shed): its slot, when set, gets `status`.
   void complete_undecoded(Job&& job, DecodeStatus status)
       LDPC_EXCLUDES(state_mutex_);
-  /// Bookkeeping for one finished job.
+  /// Book one frame that reached a decoder: the job count, its latency
+  /// sample and its completion, and — unless the decode threw (`result`
+  /// null) — its DecodeResult, SaturationStats and decoded bits.
+  void book_frame_locked(EngineWorkerStats& stats, std::size_t frame_index,
+                         const DecodeResult* result,
+                         const SaturationStats& saturation,
+                         const Decoder& decoder, double latency_us,
+                         std::chrono::steady_clock::time_point now)
+      LDPC_REQUIRES(state_mutex_);
+  /// Bookkeeping for one finished frame.
   void finish_job_locked(std::size_t frame_index,
                          std::chrono::steady_clock::time_point now)
       LDPC_REQUIRES(state_mutex_);

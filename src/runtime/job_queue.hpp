@@ -109,18 +109,6 @@ class BoundedJobQueue {
     return true;
   }
 
-  /// Non-blocking push: false when full or closed; `item` is moved from
-  /// only on success. Policy-independent (never sheds).
-  bool try_push(T& item) LDPC_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      enqueue(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocking pop: waits while empty. Returns false once the queue is
   /// closed *and* drained — the consumer-thread exit signal.
   bool pop(T& out) LDPC_EXCLUDES(mutex_) {

@@ -33,8 +33,7 @@ BatchEngine::Task DecodeSupervisor::make_attempt(
     std::shared_ptr<JobControl> control) {
   return [this, control = std::move(control)](Decoder& decoder) {
     const DecodeResult result =
-        control->task_factory ? control->task_factory(control->attempt)(decoder)
-                              : decoder.decode(control->llr);
+        control->task_factory(control->attempt)(decoder);
     on_attempt_done(control, result);
     return result;
   };
@@ -111,16 +110,14 @@ void DecodeSupervisor::on_attempt_done(
 SubmitStatus DecodeSupervisor::submit(
     std::size_t frame_index, std::vector<float> llr, DecodeResult* slot,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
-  LDPC_CHECK(slot != nullptr);
-  auto control = std::make_shared<JobControl>();
-  control->frame_index = frame_index;
-  control->llr = std::move(llr);
-  control->slot = slot;
-  control->deadline = deadline;
-  JobOptions options;
-  options.deadline = deadline;
-  return engine_.submit_task(frame_index, make_attempt(std::move(control)),
-                             options, slot);
+  // Shared by every attempt's task, never copied per attempt.
+  auto frame = std::make_shared<const std::vector<float>>(std::move(llr));
+  return submit_task(
+      frame_index,
+      [frame](std::size_t) -> BatchEngine::Task {
+        return [frame](Decoder& decoder) { return decoder.decode(*frame); };
+      },
+      slot, deadline);
 }
 
 SubmitStatus DecodeSupervisor::submit_task(
@@ -141,7 +138,7 @@ SubmitStatus DecodeSupervisor::submit_task(
 
 SupervisorMetrics DecodeSupervisor::metrics() const {
   SupervisorMetrics m;
-  m.engine = engine_.metrics();
+  m.engine = engine_.snapshot();
   {
     const MutexLock lock(stats_mutex_);
     m.retry = stats_;

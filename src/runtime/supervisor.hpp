@@ -93,9 +93,10 @@ class DecodeSupervisor {
 
   DecodeSupervisor(DecoderFactory primary, SupervisorConfig config);
 
-  /// Submit one frame of LLRs. `*slot` (required; must outlive drain())
-  /// receives the final attempt's result. `deadline`, when set, bounds the
-  /// frame's total time in the system across all attempts.
+  /// Submit one frame of LLRs: a task job (submit_task) whose every
+  /// attempt decodes the same retained LLRs. `*slot` (required; must
+  /// outlive drain()) receives the final attempt's result. `deadline`, when
+  /// set, bounds the frame's total time in the system across all attempts.
   [[nodiscard]] SubmitStatus submit(
       std::size_t frame_index, std::vector<float> llr, DecodeResult* slot,
       std::optional<std::chrono::steady_clock::time_point> deadline = {});
@@ -130,8 +131,7 @@ class DecodeSupervisor {
   /// attempt tasks in flight for the frame.
   struct JobControl {
     std::size_t frame_index = 0;
-    std::vector<float> llr;    ///< retained for re-decodes (llr jobs)
-    TaskFactory task_factory;  ///< set for task jobs instead of llr
+    TaskFactory task_factory;
     DecodeResult* slot = nullptr;
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::size_t attempt = 1;  ///< attempt currently running (1-based)

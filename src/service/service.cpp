@@ -87,20 +87,22 @@ class WorkerDecoderCache final : public Decoder {
     return *it->second.decoder;
   }
 
-  /// Book the finished decode so the engine's per-worker accounting
-  /// (decoded bits, saturation) reflects the codec that actually ran.
-  void record(std::size_t n, const SaturationStats& saturation) {
-    last_n_ = n;
-    last_saturation_ = saturation;
-  }
+  /// What the engine books for the current task (decoded bits,
+  /// saturation): the codec decoder that ran, or nothing. Every task starts
+  /// with clear(), so a task that expired or threw books no decode.
+  void clear() { booked_ = nullptr; }
+  void record(const Decoder& decoder) { booked_ = &decoder; }
 
   DecodeResult decode(std::span<const float> /*llr*/) override {
     // The service submits tasks only; a plain decode has no codec context.
     throw Error("WorkerDecoderCache decodes via service tasks only");
   }
-  std::size_t n() const override { return last_n_; }
+  std::size_t n() const override { return booked_ ? booked_->n() : 0; }
+  std::size_t k() const override { return booked_ ? booked_->k() : 0; }
   std::string name() const override { return "service-worker-cache"; }
-  SaturationStats saturation() const override { return last_saturation_; }
+  SaturationStats saturation() const override {
+    return booked_ ? booked_->saturation() : SaturationStats{};
+  }
 
  private:
   struct CacheEntry {
@@ -112,8 +114,7 @@ class WorkerDecoderCache final : public Decoder {
   DecoderOptions options_;
   std::function<void(DecoderOptions&)> hook_;
   std::map<const CodecEntry*, CacheEntry> cache_;
-  std::size_t last_n_ = 0;
-  SaturationStats last_saturation_;
+  const Decoder* booked_ = nullptr;  ///< a cache_ entry; nodes never move
 };
 
 }  // namespace
@@ -643,17 +644,18 @@ void DecodeService::submit_to_engine(const std::shared_ptr<PendingJob>& job) {
     DecodeResult result;
     SaturationStats saturation;
     try {
+      auto& cache = dynamic_cast<WorkerDecoderCache&>(worker_decoder);
+      cache.clear();
       if (job->token.expired()) {
         // Expired while queued: resolve without touching a codec decoder.
         result.status = DecodeStatus::kDeadlineExpired;
       } else {
-        auto& cache = dynamic_cast<WorkerDecoderCache&>(worker_decoder);
         Decoder& decoder = cache.decoder_for(job->codec);
         decoder.set_cancel_token(&job->token);
         result = decoder.decode(job->llr);
         saturation = decoder.saturation();
         decoder.set_cancel_token(nullptr);
-        cache.record(decoder.n(), saturation);
+        cache.record(decoder);
       }
     } catch (...) {
       // The task must never throw (a throwing task strikes the worker and

@@ -123,7 +123,7 @@ ChaosRun run_chaos(const QCLdpcCode& code,
     EXPECT_TRUE(submit_accepted(s)) << "frame " << f;
   }
   engine.drain();
-  run.metrics = engine.metrics();
+  run.metrics = engine.snapshot();
   run.completions.reserve(completions.size());
   for (const auto& c : completions) run.completions.push_back(c.load());
   return run;
@@ -268,7 +268,7 @@ TEST(ChaosEngine, BlockWithExpiredJobResolvesLaneMatesUnderChaos) {
     EXPECT_TRUE(submit_accepted(engine.submit_block(std::move(block))));
   }
   engine.drain();
-  const EngineMetrics metrics = engine.metrics();
+  const EngineMetrics metrics = engine.snapshot();
 
   // Exactly-once at block granularity: every slot was finalized (the
   // sentinel is gone everywhere), the expired frame consumed no decode

@@ -40,18 +40,6 @@ TEST(JobQueue, FifoOrder) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(JobQueue, TryPushFailsWhenFull) {
-  BoundedJobQueue<int> q(2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.try_push(a));
-  EXPECT_TRUE(q.try_push(b));
-  EXPECT_FALSE(q.try_push(c));
-  EXPECT_EQ(c, 3);  // not consumed
-  int out = 0;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.try_push(c));
-}
-
 TEST(JobQueue, CloseDrainsThenStops) {
   BoundedJobQueue<int> q(4);
   EXPECT_EQ(q.push(7), PushResult::kAccepted);
@@ -74,9 +62,6 @@ TEST(JobQueue, PushAfterCloseNeverSilentlyDrops) {
   q.close();
   EXPECT_EQ(q.push(1), PushResult::kClosed);
   EXPECT_FALSE(q.push_forced(2));
-  int item = 3;
-  EXPECT_FALSE(q.try_push(item));
-  EXPECT_EQ(item, 3);  // handed back intact
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -247,31 +232,25 @@ TEST(BatchEngine, BackpressureWithTinyQueue) {
   BatchEngine engine(fixed_factory(code), engine_config(2, 1));
   const auto results = engine.decode_batch(frames);
   ASSERT_EQ(results.size(), frames.size());
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_LE(m.queue_max_occupancy, 1u);
 }
 
-TEST(BatchEngine, TrySubmitReportsFullQueue) {
-  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
-  auto frames = make_frames(code, 64, 4.0F);
-  BatchEngine engine(fixed_factory(code), engine_config(1, 2));
-  std::vector<DecodeResult> results(frames.size());
-  std::size_t accepted = 0, rejected = 0;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    if (engine.try_submit(f, frames[f], &results[f])) {
-      ++accepted;
-    } else {
-      ++rejected;
-      EXPECT_FALSE(frames[f].empty());  // frame handed back intact
-      const SubmitStatus s =
-          engine.submit(f, std::move(frames[f]), &results[f]);
-      EXPECT_EQ(s, SubmitStatus::kAccepted);  // blocking retry
-    }
-  }
-  engine.drain();
-  EXPECT_EQ(accepted + rejected, frames.size());
-  for (const auto& r : results) EXPECT_GE(r.iterations, 1u);
+TEST(BatchEngine, RefusedDecodeBatchDrainsAcceptedFramesBeforeThrowing) {
+  // One slow worker and a one-entry queue that refuses when full: some
+  // submit of the batch is refused while earlier frames are still queued or
+  // decoding into the batch's result vector. The throw must wait for them —
+  // a worker writing into the destroyed vector is a use-after-free.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 96);
+  const auto frames = make_frames(code, 16, 0.0F);
+  BatchEngineConfig config = engine_config(1, 1);
+  config.overload_policy = OverloadPolicy::kRejectNewest;
+  BatchEngine engine(fixed_factory(code, 200), config);
+  EXPECT_THROW(engine.decode_batch(frames), Error);
+  const auto m = engine.snapshot();
+  EXPECT_GE(m.jobs_rejected, 1u);
+  EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
 }
 
 TEST(BatchEngine, DrainIsReusable) {
@@ -287,7 +266,7 @@ TEST(BatchEngine, DrainIsReusable) {
   for (std::size_t f = 0; f < frames.size(); ++f)
     ASSERT_TRUE(submit_accepted(engine.submit(f, frames[f], &second[f])));
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, 2 * frames.size());
   EXPECT_EQ(m.jobs_completed, 2 * frames.size());
   for (std::size_t f = 0; f < frames.size(); ++f)
@@ -303,7 +282,7 @@ TEST(BatchEngine, DrainWithZeroJobsReturnsImmediately) {
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.outstanding, 0u);
   EXPECT_TRUE(report.straggler_frames.empty());
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, 0u);
   EXPECT_EQ(m.jobs_completed, 0u);
   EXPECT_EQ(m.latency.samples, 0u);
@@ -348,7 +327,7 @@ TEST(BatchEngine, QueuedExpiredJobNeverReachesDecoder) {
   EXPECT_EQ(expired.status, DecodeStatus::kDeadlineExpired);
   EXPECT_EQ(expired.iterations, 0u);  // no decoder ever saw the frame
   EXPECT_FALSE(expired.converged);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_expired, 1u);
   EXPECT_EQ(m.jobs_completed, 2u);  // expiry still completes the job
   std::size_t worker_jobs = 0;
@@ -403,7 +382,7 @@ TEST(BatchEngine, RejectNewestReportsAndCounts) {
             SubmitStatus::kRejectedQueueFull);
   release = true;
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_rejected, 1u);
   EXPECT_EQ(m.jobs_submitted, 2u);  // rejected job never counted submitted
   EXPECT_EQ(m.jobs_completed, 2u);
@@ -434,7 +413,7 @@ TEST(BatchEngine, ShedOldestCompletesEvictedJob) {
   EXPECT_EQ(slots[1].status, DecodeStatus::kShedOverload);
   EXPECT_EQ(slots[1].iterations, 0u);
   EXPECT_GE(slots[2].iterations, 1u);  // the fresh job decoded
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_shed, 1u);
   EXPECT_EQ(m.jobs_submitted, 3u);
   EXPECT_EQ(m.jobs_completed, 3u);
@@ -448,7 +427,7 @@ TEST(BatchEngine, MetricsReadableDuringLiveBatch) {
   std::thread reader([&] {
     // Hammer the snapshot while jobs are in flight; TSAN guards this.
     while (!stop.load()) {
-      const auto m = engine.metrics();
+      const auto m = engine.snapshot();
       EXPECT_LE(m.jobs_completed, m.jobs_submitted);
       EXPECT_LE(m.latency.p50_us, m.latency.max_us + 1e-9);
     }
@@ -459,7 +438,7 @@ TEST(BatchEngine, MetricsReadableDuringLiveBatch) {
   engine.drain();
   stop = true;
   reader.join();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
 }
 
@@ -482,7 +461,7 @@ TEST(BatchEngine, MetricsAggregateDecodeStatistics) {
   const auto frames = make_frames(code, 20, 6.0F);
   BatchEngine engine(fixed_factory(code), engine_config(2, 16));
   const auto results = engine.decode_batch(frames);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, frames.size());
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_EQ(m.decoded_bits, frames.size() * code.n());
@@ -531,7 +510,7 @@ TEST(BatchEngine, SubmitTaskRunsOnWorkerDecoder) {
     ASSERT_TRUE(submit_accepted(s));
   }
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
   for (const auto it : iterations) EXPECT_GE(it, 1u);
   EXPECT_EQ(m.decoded_bits, frames.size() * code.n());
@@ -586,7 +565,7 @@ TEST(BatchEngine, ThrowingJobIsCountedNotFatal) {
   ASSERT_TRUE(submit_accepted(engine.submit(1, good[0], &results[1])));
   ASSERT_TRUE(submit_accepted(engine.submit(2, good[1], &results[2])));
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, 3u);
   std::size_t exceptions = 0;
   for (const auto& w : m.workers) exceptions += w.exceptions;
@@ -620,7 +599,7 @@ TEST(BatchEngine, QuarantineReplacesStrikingWorker) {
         submit_accepted(engine.submit(10 + f, good[f], &slots[f])));
   engine.drain();
   for (const auto& r : slots) EXPECT_TRUE(r.converged);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.workers_quarantined, 1u);
   EXPECT_EQ(m.workers_spawned, 1u);
   ASSERT_EQ(m.workers.size(), 2u);  // original + replacement
@@ -866,7 +845,7 @@ TEST(BatchEngineBlocks, SubmitBlockResolvesEveryFrameOnce) {
     EXPECT_GE(r.iterations, 1u);
     EXPECT_TRUE(r.converged);
   }
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, frames.size());
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_EQ(m.decoded_bits, frames.size() * code.n());
@@ -883,6 +862,10 @@ TEST(BatchEngineBlocks, DecodeBatchBlockShapeMatchesPerFrame) {
   {
     BatchEngine engine(batched_factory(code), engine_config(1, 32));
     reference = engine.decode_batch(frames);
+    // Per-frame submits are one-frame blocks, which a batched decoder runs
+    // on its z-lane kernel: no frame reports a fallback.
+    for (const auto& w : engine.snapshot().workers)
+      EXPECT_EQ(w.simd_fallbacks, 0u);
   }
   // Ragged widths at 2 workers, then whole lane-width blocks at 1, 2 and 4
   // workers: the output does not depend on the block shape or the worker
@@ -906,7 +889,7 @@ TEST(BatchEngineBlocks, DecodeBatchBlockShapeMatchesPerFrame) {
       EXPECT_EQ(results[f].status, reference[f].status) << ctx;
       EXPECT_EQ(results[f].hard_bits, reference[f].hard_bits) << ctx;
     }
-    const auto m = engine.metrics();
+    const auto m = engine.snapshot();
     EXPECT_EQ(m.jobs_completed, frames.size());
     EXPECT_EQ(m.decoded_info_bits, frames.size() * code.k());
   }
@@ -935,7 +918,7 @@ TEST(BatchEngineBlocks, ExpiredFrameInBlockResolvesLaneMates) {
     EXPECT_TRUE(slots[f].converged) << f;
     EXPECT_GE(slots[f].iterations, 1u) << f;
   }
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_EQ(m.jobs_expired, 1u);
 }
@@ -957,7 +940,7 @@ TEST(BatchEngineBlocks, FallbackFramesCountedPerWorker) {
   const auto results = engine.decode_batch(frames);
   for (const auto& r : results)
     EXPECT_EQ(r.simd_fallback, SimdFallback::kObserver);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   std::size_t fallbacks = 0;
   for (const auto& w : m.workers) fallbacks += w.simd_fallbacks;
   EXPECT_EQ(fallbacks, frames.size());

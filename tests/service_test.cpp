@@ -61,6 +61,20 @@ ServiceConfig base_config(unsigned workers = 2) {
   return config;
 }
 
+/// The engine metrics once every engine job has been booked. A task posts
+/// its response before the engine books it, so a client that just read a
+/// response may still be ahead of the engine's counters.
+EngineMetrics settled_engine_metrics(const DecodeService& service) {
+  const auto give_up = std::chrono::steady_clock::now() + 5s;
+  EngineMetrics m = service.stats().engine;
+  while (m.jobs_completed != m.jobs_submitted &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+    m = service.stats().engine;
+  }
+  return m;
+}
+
 // ---------------------------------------------------------------------------
 // Engine snapshot (the tear-free metrics satellite).
 
@@ -163,8 +177,56 @@ TEST(ServiceTest, PingStatsAndDecodeRoundTrip) {
   for (std::size_t i = 0; i < code.n(); ++i)
     ASSERT_EQ(bits.get(i), codeword.get(i)) << "bit " << i;
 
+  // The engine books the codec decoder that ran: its code and info bits.
+  const EngineMetrics engine = settled_engine_metrics(service);
+  EXPECT_EQ(engine.jobs_completed, 1u);
+  EXPECT_EQ(engine.decoded_bits, code.n());
+  EXPECT_EQ(engine.decoded_info_bits, code.k());
+
   const ShutdownReport report = service.shutdown_after(2s);
   EXPECT_TRUE(report.drained_clean);
+}
+
+TEST(ServiceTest, TaskExpiredInQueueBooksNoDecode) {
+  // One worker, held up while it builds its first codec decoder: the second
+  // request's deadline passes while its task waits in the engine queue, so
+  // the task resolves kDeadlineExpired without decoding. The engine must
+  // book no decoded bits for it — not the bits of the decode before it.
+  ServiceConfig config = base_config(/*workers=*/1);
+  config.decoder_options_hook = [](DecoderOptions&) {
+    std::this_thread::sleep_for(200ms);
+  };
+  DecodeService service(config);
+  service.start();
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+
+  const QCLdpcCode code = make_wimax_code(all_wimax_rates()[0], 24);
+  const CodecRef wimax{kWimaxStd, 0, 24};
+  ASSERT_TRUE(client.send_raw(encode_decode_request(
+      make_request(1, 0, wimax, zero_codeword_llrs(code.n())))));
+  ASSERT_TRUE(client.send_raw(encode_decode_request(make_request(
+      2, 0, wimax, zero_codeword_llrs(code.n()), /*deadline_us=*/20000))));
+  std::map<std::uint64_t, DecodeStatus> statuses;
+  for (int seen = 0; seen < 2; ++seen) {
+    const auto frame = client.read_frame(5000ms);
+    ASSERT_TRUE(frame.has_value()) << "request starved after " << seen;
+    ASSERT_EQ(frame->type, FrameType::kDecodeResponse);
+    DecodeResponse response;
+    ASSERT_EQ(parse_decode_response(frame->body, &response),
+              WireErrorCode::kNone);
+    statuses[response.request_id] =
+        static_cast<DecodeStatus>(response.status);
+  }
+  EXPECT_EQ(statuses[1], DecodeStatus::kConverged);
+  EXPECT_EQ(statuses[2], DecodeStatus::kDeadlineExpired);
+
+  const EngineMetrics engine = settled_engine_metrics(service);
+  EXPECT_EQ(engine.jobs_completed, 2u);
+  EXPECT_EQ(engine.status_total(DecodeStatus::kDeadlineExpired), 1u);
+  EXPECT_EQ(engine.decoded_bits, code.n());
+  EXPECT_EQ(engine.decoded_info_bits, code.k());
+  service.shutdown_after(2s);
 }
 
 TEST(ServiceTest, TypedErrorsKeepTheConnectionUsable) {

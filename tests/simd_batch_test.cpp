@@ -87,8 +87,9 @@ void expect_block_identical(SimdBatchDecoder& batched,
 
 /// Sweep one (code, options, format) point: scalar references once, then
 /// every tier x block sizes {1, W-1, W, W+3} where W is the tier's lane
-/// width — one lane, a partial block, a full block, and a block that
-/// forces a mid-flight lane refill.
+/// width — one frame (the z-lane route), a partial block, a full block,
+/// and a block that forces a mid-flight lane refill — plus a fast+slow
+/// pair that ends on one live lane.
 /// `refs_out`, when set, receives the scalar references, so a case can
 /// assert what its frames do.
 void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
@@ -107,6 +108,17 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
     refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
   }
   if (refs_out) *refs_out = refs;
+  // A one-frame block runs the z-lane kernel, so the batched kernel's
+  // one-live-lane tail is pinned by a pair: the pool's fastest and slowest
+  // frames, the slow one decoding alone once its lane-mate retires.
+  const auto [fast, slow] = std::minmax_element(
+      refs.begin(), refs.end(), [](const Reference& a, const Reference& b) {
+        return a.result.iterations < b.result.iterations;
+      });
+  const std::vector<std::vector<float>> pair_pool = {
+      pool[static_cast<std::size_t>(fast - refs.begin())],
+      pool[static_cast<std::size_t>(slow - refs.begin())]};
+  const std::vector<Reference> pair_refs = {*fast, *slow};
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
     SimdBatchDecoder batched(code, opt, fmt, tier);
@@ -118,6 +130,8 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
                             " tier=" + simd::to_string(tier);
     for (const std::size_t count : {std::size_t{1}, w - 1, w, w + 3})
       expect_block_identical(batched, pool, refs, count, ctx);
+    expect_block_identical(batched, pair_pool, pair_refs, 2,
+                           ctx + " fast+slow");
   }
 }
 

@@ -84,8 +84,9 @@ void expect_block_identical(SimdFaBatchDecoder& batched,
 
 /// Sweep one (code, options, msg_bits) point: scalar references once, then
 /// every tier twice over — the z-lane decoder per frame, and the batched
-/// decoder at block sizes {1, W-1, W, W+3} (one lane, a partial block, a
-/// full block, a mid-flight lane refill).
+/// decoder at block sizes {1, W-1, W, W+3} (one frame on the z-lane
+/// route, a partial block, a full block, a mid-flight lane refill) plus a
+/// fast+slow pair that ends on one live lane.
 /// `refs_out`, when set, receives the scalar references, so a case can
 /// assert what its frames do.
 void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
@@ -104,6 +105,17 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
     refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
   }
   if (refs_out) *refs_out = refs;
+  // A one-frame block runs the z-lane kernel, so the batched kernel's
+  // one-live-lane tail is pinned by a pair: the pool's fastest and slowest
+  // frames, the slow one decoding alone once its lane-mate retires.
+  const auto [fast, slow] = std::minmax_element(
+      refs.begin(), refs.end(), [](const Reference& a, const Reference& b) {
+        return a.result.iterations < b.result.iterations;
+      });
+  const std::vector<std::vector<float>> pair_pool = {
+      pool[static_cast<std::size_t>(fast - refs.begin())],
+      pool[static_cast<std::size_t>(slow - refs.begin())]};
+  const std::vector<Reference> pair_refs = {*fast, *slow};
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
     const std::string ctx = "fa" + std::to_string(msg_bits) +
@@ -123,6 +135,8 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
     EXPECT_EQ(w, simd::tier_lanes8(tier));
     for (const std::size_t count : {std::size_t{1}, w - 1, w, w + 3})
       expect_block_identical(batched, pool, refs, count, ctx);
+    expect_block_identical(batched, pair_pool, pair_refs, 2,
+                           ctx + " fast+slow");
   }
 }
 

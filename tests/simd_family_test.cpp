@@ -18,6 +18,8 @@
 //     element by element around every half step of the rails; frames
 //     of one LLR magnitude, where every check row ties at min1, match
 //     the scalar reference in both shapes;
+//   * a one-frame block on a batched decoder runs the z-lane kernel with
+//     no fallback reason, matching decode() and the scalar reference;
 //   * the z-lane quantized entry point routes out-of-rail codes to the
 //     scalar twin (kOutOfRailInput) and matches the scalar decode;
 //   * z-lane observer snapshots match the scalar decoder's.
@@ -31,6 +33,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -216,8 +219,9 @@ TYPED_TEST(SimdFamily, CancelledFrameInBlockLeavesLaneMatesIntact) {
 TYPED_TEST(SimdFamily, DecodeBlockDetachesAttachedCancelToken) {
   // Decoder::decode_block contract: the per-frame tokens replace a token
   // attached with set_cancel_token, and it is detached on return — on the
-  // batched vector path and on the per-frame observer fallback alike — so
-  // a later single-frame decode runs to completion.
+  // batched vector path, on the per-frame observer fallback and on the
+  // z-lane route of a one-frame block alike — so a later single-frame
+  // decode runs to completion.
   const auto code = make_wifi_648_half_rate();
   const auto llr = noisy_llr(code, 2.0F, 57);
   const auto scalar = TypeParam::scalar(code, counting_options());
@@ -233,24 +237,30 @@ TYPED_TEST(SimdFamily, DecodeBlockDetachesAttachedCancelToken) {
     DecoderOptions opt = counting_options();
     if (observer) opt.observer = [](const IterationSnapshot&) {};
     for (const simd::SimdTier tier : simd::available_tiers()) {
-      const std::string ctx = std::string("tier=") + simd::to_string(tier) +
-                              (observer ? " observer" : " vector");
-      const auto batched = TypeParam::batched(code, opt, tier);
-      batched->set_cancel_token(&cancelled);
-      const BlockFrame frame{llr, nullptr};
-      DecodeResult block_result;
-      SaturationStats block_sat;
-      batched->decode_block(std::span<const BlockFrame>(&frame, 1),
-                            std::span<DecodeResult>(&block_result, 1),
-                            std::span<SaturationStats>(&block_sat, 1));
-      EXPECT_EQ(block_result.simd_fallback,
-                observer ? SimdFallback::kObserver : SimdFallback::kNone)
-          << ctx;
-      expect_same_decode(ref, ref_sat, block_result, block_sat,
-                         ctx + " decode_block");
-      const DecodeResult after = batched->decode(llr);
-      expect_same_decode(ref, ref_sat, after, batched->saturation(),
-                         ctx + " decode");
+      for (const std::size_t count : {std::size_t{1}, std::size_t{2}}) {
+        const std::string ctx = std::string("tier=") + simd::to_string(tier) +
+                                (observer ? " observer" : " vector") +
+                                " block=" + std::to_string(count);
+        const auto batched = TypeParam::batched(code, opt, tier);
+        batched->set_cancel_token(&cancelled);
+        const std::vector<BlockFrame> frames(count, BlockFrame{llr, nullptr});
+        std::vector<DecodeResult> results(count);
+        std::vector<SaturationStats> saturation(count);
+        batched->decode_block(frames, results, saturation);
+        // A one-frame block runs the z-lane kernel, which serves an
+        // observer itself: only a wider block falls back for it.
+        const SimdFallback expected = observer && count > 1
+                                          ? SimdFallback::kObserver
+                                          : SimdFallback::kNone;
+        for (std::size_t f = 0; f < count; ++f) {
+          EXPECT_EQ(results[f].simd_fallback, expected) << ctx;
+          expect_same_decode(ref, ref_sat, results[f], saturation[f],
+                             ctx + " decode_block");
+        }
+        const DecodeResult after = batched->decode(llr);
+        expect_same_decode(ref, ref_sat, after, batched->saturation(),
+                           ctx + " decode");
+      }
     }
   }
 }
@@ -481,6 +491,22 @@ TYPED_TEST(SimdFamily, UncountedQuantizerMatchesScalarOnHostileLlrs) {
       EXPECT_EQ(results[f].simd_fallback, SimdFallback::kNone) << ctx;
       expect_same_decode(refs[f], ref_sat[f], results[f], saturation[f],
                          ctx + " batched frame=" + std::to_string(f));
+    }
+
+    // A one-frame block takes the z-lane kernel: the batched decoder's own
+    // decode() result, the scalar reference, and no fallback reason.
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const std::string one_ctx = ctx + " one-frame block=" + std::to_string(f);
+      DecodeResult one;
+      SaturationStats one_sat;
+      batched->decode_block(std::span<const BlockFrame>(&frames[f], 1),
+                            std::span<DecodeResult>(&one, 1),
+                            std::span<SaturationStats>(&one_sat, 1));
+      EXPECT_EQ(one.simd_fallback, SimdFallback::kNone) << one_ctx;
+      expect_same_decode(refs[f], ref_sat[f], one, one_sat, one_ctx);
+      const DecodeResult direct = batched->decode(pool[f]);
+      expect_same_decode(direct, batched->saturation(), one, one_sat,
+                         one_ctx + " vs decode()");
     }
   }
 }
